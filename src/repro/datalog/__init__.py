@@ -51,7 +51,6 @@ from .plans import (
     compile_plan,
     delta_plan,
     delta_plans,
-    drain_planner_events,
     execution_mode,
     get_execution_mode,
     get_plan_mode,
@@ -110,7 +109,6 @@ __all__ = [
     "delta_plan",
     "delta_plans",
     "derived_relation",
-    "drain_planner_events",
     "execution_mode",
     "get_execution_mode",
     "get_plan_mode",

@@ -58,6 +58,7 @@ from typing import (
 )
 
 from .analysis import ProgramAnalysis
+from .database import memoized
 from .literals import Literal
 from .rules import Program, Rule
 from .terms import AggregateTerm, Constant, Term, Variable
@@ -345,9 +346,8 @@ class RuleInsight:
 class AbstractAnalysis:
     """The converged abstract interpretation of one program (+ database).
 
-    Build through :meth:`of`, which memoizes per program instance and
-    database version exactly like :meth:`ProgramAnalysis.of` -- the engine
-    hot path re-requests the analysis per query.
+    Build through :meth:`of`, which memoizes on the database (or, without
+    one, the program) per program instance and database version.
     """
 
     def __init__(
@@ -381,21 +381,19 @@ class AbstractAnalysis:
         database: Optional[object] = None,
         known: Iterable[str] = (),
     ) -> "AbstractAnalysis":
-        """The (memoized) analysis of ``program`` against ``database``.
+        """The analysis of ``program`` against ``database``, memoized on it.
 
         ``known`` names base predicates whose facts live outside both the
         program and the database (the lint corpus' ``% lint: known``
         directive); their columns are top and they may be non-empty.
         """
         known_key = frozenset(known)
-        version = database.version if database is not None else None
-        key = (None if database is None else id(database), version, known_key)
-        memo = program.__dict__.get("_abstract_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        analysis = cls._build(program, database, known_key)
-        program._abstract_memo = (key, analysis)
-        return analysis
+        return memoized(
+            program,
+            database,
+            ("abstract", known_key),
+            lambda: cls._build(program, database, known_key),
+        )
 
     @classmethod
     def _build(

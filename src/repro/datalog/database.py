@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from itertools import repeat as _repeat
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -33,6 +34,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from ..instrumentation import Counters
@@ -44,8 +46,12 @@ from .rules import Program, Rule
 from .terms import Constant, Variable
 
 Row = Tuple[object, ...]
+_T = TypeVar("_T")
 
 _NO_BINDINGS: Dict[int, object] = {}
+
+#: Entries kept by each per-database memo (program facts, analyses).
+MEMO_LIMIT = 64
 
 
 def normalize_row(values: Iterable[object]) -> Row:
@@ -216,6 +222,9 @@ class Database:
         # bare ``Engine.answer`` path): Program -> (version, combined
         # database).  Lives on the instance so its lifetime matches the data.
         self._program_facts_memo: Dict[object, Tuple[int, "Database"]] = {}
+        # Analyses of programs against this database (see :func:`memoized`):
+        # (program, key) -> (version, program, result).
+        self._analyses: Dict[object, Tuple[int, Program, object]] = {}
         self._touched: Set[Tuple[str, Row]] = set()
         # Predicates whose Relation object is shared with a base database
         # (copy-on-write overlays); cloned on the first mutation.
@@ -801,3 +810,32 @@ class Database:
     def __repr__(self) -> str:
         parts = ", ".join(f"{p}:{len(rel)}" for p, rel in sorted(self.relations.items()))
         return f"Database({parts})"
+
+
+def memoized(
+    program: Program,
+    database: Optional[Database],
+    key: object,
+    build: Callable[[], _T],
+) -> _T:
+    """``build()``, memoized on ``database`` (on ``program`` without one).
+
+    Keyed by ``(program, key)``, valid while ``database.version`` holds and
+    only for the very same program instance (equal programs may differ in
+    rule order and spans).  The memo dies with its owner, so a reused id
+    can never hit it.
+    """
+    if database is None:
+        memo = program.__dict__.setdefault("_analyses", {})
+        version = None
+    else:
+        memo = database._analyses
+        version = database.version
+    entry = memo.get((program, key))
+    if entry is not None and entry[0] == version and entry[1] is program:
+        return entry[2]
+    result = build()
+    memo[(program, key)] = (version, program, result)
+    while len(memo) > MEMO_LIMIT:
+        memo.pop(next(iter(memo)))
+    return result

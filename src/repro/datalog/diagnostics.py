@@ -54,8 +54,9 @@ The DL7xx family is produced by the abstract-interpretation layer
 (:mod:`repro.datalog.abstract`): a dataflow fixpoint inferring per-column
 sorts, constant sets, integer intervals and emptiness for every predicate.
 It runs in :func:`check_program` (so ``session.diagnostics`` carries the
-findings), in :func:`ensure_valid` (surfaced through the planner event ring
-``explain()`` drains) and in the lint CLI behind ``--analyze``.
+findings), in :func:`abstract_diagnostics` (which ``QuerySession.explain``
+renders for its own program and database) and in the lint CLI behind
+``--analyze``.  One-shot engine runs do not compute it.
 
 Entry points
 ------------
@@ -105,8 +106,6 @@ __all__ = [
     "query_strategy_report",
     "rule_safety_diagnostics",
     "stratification_cycle_diagnostic",
-    "set_eager_validation",
-    "eager_validation_enabled",
     "ensure_valid",
     "abstract_diagnostics",
 ]
@@ -248,72 +247,26 @@ def _span_dict(span: Optional[Span]) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Eager-validation switch (Engine.answer / QuerySession drivers)
+# Prepare-time validation (Engine.answer)
 # ---------------------------------------------------------------------------
 
-_EAGER_VALIDATION = True
 
-
-def set_eager_validation(enabled: bool) -> bool:
-    """Toggle prepare-time validation globally; returns the previous value.
-
-    With eager validation on (the default), :meth:`repro.engines.base.Engine
-    .answer` and :class:`repro.session.QuerySession` validate the program
-    *before* any evaluation starts, so a stratification cycle raises at
-    prepare time instead of mid-fixpoint.  Turning it off restores the
-    historical lazy behaviour (the same exceptions surface later, from
-    inside the runtime).  Evaluation results are identical either way.
-    """
-    global _EAGER_VALIDATION
-    previous = _EAGER_VALIDATION
-    _EAGER_VALIDATION = bool(enabled)
-    return previous
-
-
-def eager_validation_enabled() -> bool:
-    """Whether prepare-time validation is currently on."""
-    return _EAGER_VALIDATION
-
-
-def ensure_valid(program: Program, database: Optional[object] = None) -> None:
+def ensure_valid(program: Program) -> None:
     """Raise eagerly when ``program`` cannot evaluate; cheap when it can.
 
     Positive programs were fully validated at construction; the one check
     that historically fired mid-evaluation is stratifiability, so that is
     what runs here (memoized per program -- repeated calls are O(1)).
-    Honors :func:`set_eager_validation`.
-
-    When ``database`` is supplied the abstract-interpretation layer also
-    runs (memoized per program instance and database version) and records
-    its DL7xx findings on the planner event ring, where ``explain()``
-    surfaces them.  The analysis never charges a work counter and never
-    raises: its findings are warnings and hints, not errors.
+    :meth:`repro.engines.base.Engine.answer` calls it before evaluating, so
+    a stratification cycle raises at prepare time instead of mid-fixpoint.
+    The DL7xx findings are not computed here: they belong to whoever asks
+    for them (:func:`check_program`, :func:`abstract_diagnostics`,
+    ``QuerySession.explain`` or ``lint --analyze``).
     """
-    if not _EAGER_VALIDATION:
-        return
     if not program.is_positive:
         from .analysis import Stratification
 
         Stratification.of(program)
-    if database is not None:
-        _record_abstract_events(program, database)
-
-
-def _record_abstract_events(program: Program, database: object) -> None:
-    """Record the DL7xx findings as planner events, once per analysis."""
-    from .abstract import AbstractAnalysis
-
-    analysis = AbstractAnalysis.of(program, database)
-    if getattr(analysis, "_events_recorded", False):
-        return
-    analysis._events_recorded = True
-    findings = _abstract_findings(analysis)
-    if not findings:
-        return
-    from .plans import record_planner_event
-
-    for finding in findings:
-        record_planner_event(finding)
 
 
 def abstract_diagnostics(
@@ -1074,24 +1027,24 @@ class _Linter:
                 and len(rule.body) <= self.SUBSUMPTION_BODY_LIMIT
             ):
                 by_head.setdefault(rule.head.predicate, []).append(rule)
-        flagged: Set[int] = set()
         for group in by_head.values():
+            flagged: Set[int] = set()  # indexes into ``group``
             for index, specific in enumerate(group):
-                if id(specific) in flagged:
+                if index in flagged:
                     continue
                 for general_index, general in enumerate(group):
                     if general is specific or general == specific:
                         continue
                     if len(general.body) > len(specific.body):
                         continue
-                    if id(general) in flagged:
+                    if general_index in flagged:
                         continue
                     if general_index > index and _subsumes(specific, general):
                         # Mutual (alpha-equivalent) pair: only the later
                         # occurrence gets flagged, as its own `specific`.
                         continue
                     if _subsumes(general, specific):
-                        flagged.add(id(specific))
+                        flagged.add(index)
                         self.diagnostics.append(
                             Diagnostic(
                                 code="DL405",

@@ -45,7 +45,6 @@ engines.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from itertools import repeat as _repeat
 from typing import (
@@ -175,25 +174,6 @@ def plan_mode(mode: str):
         yield
     finally:
         set_plan_mode(previous)
-
-
-#: Bounded ring of planner runtime events (adaptive re-plans, estimate
-#: misses).  Entries are :class:`~repro.datalog.diagnostics.Diagnostic`
-#: objects; the ring keeps only the most recent so long-running fixpoints
-#: cannot grow it without bound.
-_PLANNER_EVENTS: deque = deque(maxlen=64)
-
-
-def record_planner_event(event) -> None:
-    """Append a runtime planner diagnostic to the bounded event ring."""
-    _PLANNER_EVENTS.append(event)
-
-
-def drain_planner_events() -> list:
-    """Pop and return every recorded planner event, oldest first."""
-    events = list(_PLANNER_EVENTS)
-    _PLANNER_EVENTS.clear()
-    return events
 
 
 class BuiltinCheck:
@@ -2371,7 +2351,8 @@ def delta_plan(
     In cost mode ``overrides`` carries assumed cardinalities -- the
     adaptive re-planner passes the observed delta size for the recursive
     predicates, so the residual join is costed against the delta that
-    actually drives it rather than the full relation.
+    actually drives it rather than the full relation (and reports each
+    re-plan as a ``DL601`` hint on the run's ``Counters.hints``).
     """
     statistics, suffix = _body_statistics(rule.body, database, overrides)
     key = ("delta", rule, delta_predicates, delta_occurrence, delta_first) + suffix

@@ -44,6 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .abstract import AbstractAnalysis
 from .analysis import ProgramAnalysis, reachable_from
+from .database import memoized
 from .literals import Literal
 from .rules import Program, Rule
 from .terms import AggregateTerm, Constant, Term, Variable
@@ -151,17 +152,16 @@ def optimize(
     (dead-code elimination is relative to them; when empty, every predicate
     is treated as live).  ``database`` supplies the extensional facts the
     never-fires and constant-propagation passes reason from; results are
-    memoized per program instance and database version.
+    memoized on it per program instance and database version (see
+    :func:`~repro.datalog.database.memoized`).
     """
     queries_key = tuple(sorted(set(queries)))
-    version = database.version if database is not None else None
-    key = (queries_key, None if database is None else id(database), version)
-    memo = program.__dict__.get("_transform_memo")
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    result = _optimize(program, queries_key, database)
-    program._transform_memo = (key, result)
-    return result
+    return memoized(
+        program,
+        database,
+        ("optimize", queries_key),
+        lambda: _optimize(program, queries_key, database),
+    )
 
 
 def _optimize(

@@ -461,22 +461,23 @@ class Engine:
         instead of once per query, the caller's relations -- and their
         already-built hash indexes -- are shared read-only, and only a
         relation the engine actually writes to is cloned.  The caller's
-        database is never mutated.
+        database is never mutated.  An unstratifiable program raises before
+        evaluation (:func:`~repro.datalog.diagnostics.ensure_valid`).  No
+        DL7xx analysis runs here (ask ``check_program``); cost-mode
+        ``DL601`` re-plan hints land on ``counters.hints``.
         """
         counters = counters if counters is not None else Counters()
         from ..datalog.diagnostics import ensure_valid
         from ..datalog.transform import get_program_opt, optimize
-        from ..session.facts import combined_database
+        from ..session.facts import combined_database, combined_snapshot
 
         ensure_valid(program)
         combined = combined_database(program, database, counters)
-        # With the combined EDB in hand the abstract-interpretation layer
-        # can run (memoized per program instance and database version); its
-        # DL7xx findings land on the planner event ring for ``explain()``.
-        ensure_valid(program, combined)
         if get_program_opt() == "on":
             rewritten = optimize(
-                program, queries=(query.predicate,), database=combined
+                program,
+                queries=(query.predicate,),
+                database=combined_snapshot(program, database),
             )
             optimized = rewritten.program
             if (

@@ -458,7 +458,7 @@ def evaluate_component(
         while delta.total_facts():
             if adaptive:
                 replanned = _adapt_delta_variants(
-                    scan_rules, recursive_key, database, delta, assumed
+                    scan_rules, recursive_key, database, delta, assumed, counters
                 )
                 if replanned is not None:
                     variants = replanned
@@ -502,6 +502,7 @@ def _adapt_delta_variants(
     database: Database,
     delta: Database,
     assumed: Dict[str, float],
+    counters: Counters,
 ) -> Optional[List[Tuple[Rule, List[object]]]]:
     """Swap in re-costed delta variants when the delta defies its estimate.
 
@@ -510,9 +511,9 @@ def _adapt_delta_variants(
     any diverges by :data:`_REPLAN_RATIO` or more, rebuilds every variant
     through :func:`~repro.datalog.plans.delta_plans` with the observed
     sizes as overrides (the builders' fingerprinted cache makes repeated
-    same-magnitude re-plans cache hits), records a ``DL601`` planner event,
-    and returns the replacement variants.  Returns ``None`` -- change
-    nothing -- while estimates hold.
+    same-magnitude re-plans cache hits), records a ``DL601`` hint on the
+    run's ``counters.hints``, and returns the replacement variants.
+    Returns ``None`` -- change nothing -- while estimates hold.
     """
     observed: Dict[str, float] = {}
     diverged: List[Tuple[str, float, float]] = []
@@ -541,7 +542,7 @@ def _adapt_delta_variants(
     from ..datalog.diagnostics import CODES, Diagnostic
 
     predicate, previous, rows = diverged[0]
-    _plans.record_planner_event(
+    counters.hints.append(
         Diagnostic(
             code="DL601",
             severity=CODES["DL601"][0],
@@ -605,6 +606,7 @@ class _ShardContext:
                 recipe = plan.shard_recipe()
                 if recipe is None or recipe.probe_predicate in recursive_predicates:
                     continue
+                # Keyed by identity: ``self.plans`` keeps every keyed plan alive.
                 self._recipes[id(plan)] = (len(self.plans), recipe)
                 self.plans.append(plan)
         # Whole-fixpoint offload needs the round loop fully covered by one

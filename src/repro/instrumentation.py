@@ -13,7 +13,10 @@ parameter sweep, alongside the pytest-benchmark wall-clock numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .datalog.diagnostics import Diagnostic
 
 
 @dataclass
@@ -147,6 +150,9 @@ class Counters:
     # Columnar batch telemetry: deliberately outside the work-counter model
     # (no as_dict entry, no equality participation) -- see BatchStats.
     batch: BatchStats = field(default_factory=BatchStats, compare=False, repr=False)
+    # Planner hints of this run (the adaptive re-planner's ``DL601``
+    # Diagnostics, in order), outside the work-counter model like ``batch``.
+    hints: List["Diagnostic"] = field(default_factory=list, compare=False, repr=False)
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment an ad-hoc named counter stored in :attr:`extras`."""
@@ -185,6 +191,7 @@ class Counters:
         self.iterations = 0
         self.extras.clear()
         self.batch.reset()
+        self.hints.clear()
 
     def absorb(self, other: "Counters") -> None:
         """Fold ``other`` into this bundle in place.
@@ -204,6 +211,7 @@ class Counters:
         for key, value in other.extras.items():
             self.extras[key] = self.extras.get(key, 0) + value
         self.batch.merge(other.batch)
+        self.hints.extend(other.hints)
 
     def __add__(self, other: "Counters") -> "Counters":
         merged = Counters(
@@ -219,4 +227,5 @@ class Counters:
                 merged.extras[key] = merged.extras.get(key, 0) + value
         merged.batch.merge(self.batch)
         merged.batch.merge(other.batch)
+        merged.hints = self.hints + other.hints
         return merged

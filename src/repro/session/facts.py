@@ -21,13 +21,13 @@ import hashlib
 from collections import OrderedDict
 from typing import Optional
 
-from ..datalog.database import Database
+from ..datalog.database import MEMO_LIMIT, Database
 from ..datalog.rules import Program
 from ..instrumentation import Counters
 
 #: Combined snapshots for programs evaluated without an external database.
 _PROGRAM_ONLY_CACHE: "OrderedDict[Program, Database]" = OrderedDict()
-_CACHE_LIMIT = 64
+_CACHE_LIMIT = MEMO_LIMIT
 
 
 def program_fingerprint(program: Program) -> str:
@@ -51,9 +51,18 @@ def combined_database(
     The returned database charges retrievals to ``counters`` and may be
     mutated freely (derived relations, magic seeds, ...): writes clone only
     the touched relations, never the memoized snapshot or the caller's
-    database.  The underlying combined snapshot is memoized per ``(program,
-    database.version)`` -- a database mutation invalidates it on the next
-    call through the version bump.
+    database.  The underlying :func:`combined_snapshot` is memoized per
+    ``(program, database.version)`` -- a database mutation invalidates it on
+    the next call through the version bump.
+    """
+    return Database.overlay(combined_snapshot(program, database), counters=counters)
+
+
+def combined_snapshot(program: Program, database: Optional[Database]) -> Database:
+    """The memoized, never-mutated union of ``database`` and ``program``'s facts.
+
+    Analyses of the combined EDB (the optimizer under ``program_opt("on")``)
+    memoize on this snapshot, so they live exactly as long as it does.
     """
     if database is None:
         snapshot = _PROGRAM_ONLY_CACHE.get(program)
@@ -64,7 +73,7 @@ def combined_database(
                 _PROGRAM_ONLY_CACHE.popitem(last=False)
         else:
             _PROGRAM_ONLY_CACHE.move_to_end(program)
-        return Database.overlay(snapshot, counters=counters)
+        return snapshot
 
     memo = database._program_facts_memo
     entry = memo.get(program)
@@ -76,7 +85,7 @@ def combined_database(
             memo.pop(next(iter(memo)))
     else:
         snapshot = entry[1]
-    return Database.overlay(snapshot, counters=counters)
+    return snapshot
 
 
 def clear_program_facts_cache() -> None:

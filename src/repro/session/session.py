@@ -35,17 +35,18 @@ amortization lives here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.planner import classify_query, estimate_strategy_costs
 from ..datalog.analysis import ProgramAnalysis, analyze
 from ..datalog.database import Database
+from ..datalog.diagnostics import Diagnostic, abstract_diagnostics, check_program
+from ..datalog.errors import NotApplicableError
 from ..datalog.literals import Literal
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Constant, Variable
 from ..datalog.plans import (
-    drain_planner_events,
     get_execution_mode,
     get_plan_mode,
     rule_plan,
@@ -54,9 +55,6 @@ from ..datalog.transform import get_program_opt, optimize
 from ..engines import Engine, EngineResult, Materialization, get_engine
 from ..instrumentation import Counters
 from .facts import program_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..datalog.diagnostics import Diagnostic
 
 QueryLike = Union[str, Literal]
 
@@ -199,22 +197,18 @@ class QuerySession:
     engine:
         Registry name pinning every query to one strategy, or ``None``
         (default) to auto-select per query via :func:`select_engine`.
-    validate:
-        When true (the default), the session runs the program-level static
-        analysis (:func:`repro.datalog.diagnostics.check_program`) at
-        construction: error-severity findings raise immediately (e.g.
-        :class:`~repro.datalog.errors.StratificationError`, with its
-        structured diagnostic) instead of surfacing mid-fixpoint on the
-        first query, and warning/hint findings are collected on
-        :attr:`diagnostics` for the caller to inspect.  Pass ``False`` to
-        skip the analysis (the historical lazy behaviour); evaluation
-        results are identical either way.
+
+    The constructor runs the program-level static analysis
+    (:func:`repro.datalog.diagnostics.check_program`): error-severity
+    findings raise immediately (e.g.
+    :class:`~repro.datalog.errors.StratificationError`, with its structured
+    diagnostic) instead of surfacing mid-fixpoint on the first query.
 
     Attributes
     ----------
     diagnostics:
         Warning/hint :class:`~repro.datalog.diagnostics.Diagnostic` records
-        collected at construction (empty when ``validate=False``).
+        collected at construction (:meth:`explain` shows current DL7xx ones).
     """
 
     def __init__(
@@ -222,18 +216,13 @@ class QuerySession:
         program: Program,
         database: Optional[Database] = None,
         engine: Optional[str] = None,
-        validate: bool = True,
     ):
         self.program = program
         self.database = database if database is not None else Database()
         self.engine = engine
         self.fingerprint = program_fingerprint(program)
         self.analysis = analyze(program)
-        self.diagnostics: List["Diagnostic"] = []
-        if validate:
-            from ..datalog.diagnostics import check_program
-
-            self.diagnostics = check_program(program, database=self.database)
+        self.diagnostics: List[Diagnostic] = check_program(program, self.database)
         self._engines: Dict[str, Engine] = {}
         #: (program fingerprint, database version, strategy) -> Materialization
         self._materializations: Dict[Tuple[str, int, str], Materialization] = {}
@@ -266,28 +255,23 @@ class QuerySession:
     ) -> PreparedQuery:
         """A reusable parameterized query; ``params`` name template variables.
 
-        When an engine is pinned (here or session-wide) and eager validation
-        is on, the pin is checked immediately against a probe binding
-        (parameters stand in as constants): an unknown engine name or an
-        inapplicable strategy raises
-        :class:`~repro.datalog.errors.NotApplicableError` at prepare time
-        instead of on the first call.
+        When an engine is pinned (here or session-wide), the pin is checked
+        immediately against a probe binding (parameters stand in as
+        constants): an unknown engine name or an inapplicable strategy
+        raises :class:`~repro.datalog.errors.NotApplicableError` at prepare
+        time instead of on the first call.
         """
         literal = parse_query(query) if isinstance(query, str) else query
         prepared = PreparedQuery(self, literal, params, engine=engine)
         strategy = engine or self.engine
         if strategy is not None:
-            from ..datalog.diagnostics import eager_validation_enabled
-            from ..datalog.errors import NotApplicableError
-
-            if eager_validation_enabled():
-                probe = prepared.bind(*(["__probe__"] * len(prepared.params)))
-                if not self._engine_for(strategy).applicable(self.program, probe):
-                    raise NotApplicableError(
-                        f"engine {strategy!r} is not applicable to prepared "
-                        f"query {literal} (checked with a probe binding); "
-                        "pin a different engine or let the session auto-select"
-                    )
+            probe = prepared.bind(*(["__probe__"] * len(prepared.params)))
+            if not self._engine_for(strategy).applicable(self.program, probe):
+                raise NotApplicableError(
+                    f"engine {strategy!r} is not applicable to prepared "
+                    f"query {literal} (checked with a probe binding); "
+                    "pin a different engine or let the session auto-select"
+                )
         return prepared
 
     def strategy_for(self, query: QueryLike) -> str:
@@ -310,12 +294,13 @@ class QuerySession:
         plan via :meth:`~repro.datalog.plans.JoinPlan.explain`: chosen scan
         order, per-step access paths, the cost model's estimates under
         ``set_plan_mode("cost")``, and observed per-node cardinalities when
-        the ``counters`` of a previous run are passed in.  Any planner
-        events recorded since the last explain (the adaptive re-planner's
-        ``DL601`` estimate-miss hints) are appended and drained.  Under
-        ``set_program_opt("on")`` the report of the query-directed program
-        optimizer (:mod:`repro.datalog.transform`) is included and the rule
-        plans shown are those of the optimized program.
+        the ``counters`` of a previous run are passed in.  Then come the
+        DL7xx findings of this session's program against its current
+        database (:func:`~repro.datalog.diagnostics.abstract_diagnostics`)
+        and the ``DL601`` hints the adaptive re-planner left on that run's
+        ``counters.hints``.  Under ``set_program_opt("on")`` the report of the query-directed
+        program optimizer (:mod:`repro.datalog.transform`) is included and
+        the rule plans shown are those of the optimized program.
         """
         literal = parse_query(query) if isinstance(query, str) else query
         strategy = engine or self.engine or self.strategy_for(literal)
@@ -344,11 +329,13 @@ class QuerySession:
                 plan = rule_plan(rule, database=self.database)
                 for line in plan.explain(counters).splitlines():
                     lines.append(f"  {line}")
-        events = drain_planner_events()
-        if events:
-            lines.append("planner events:")
-            for event in events:
-                lines.append(f"  {event.format()}")
+        for title, findings in (
+            ("analysis findings:", abstract_diagnostics(self.program, self.database)),
+            ("planner hints:", counters.hints if counters is not None else []),
+        ):
+            if findings:
+                lines.append(title)
+                lines.extend(f"  {finding.format()}" for finding in findings)
         return "\n".join(lines)
 
     # -- materialization cache ---------------------------------------------

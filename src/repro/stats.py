@@ -235,6 +235,7 @@ def table_stats(table: IntTable) -> TableStats:
     removals (or a copy-on-write unshare) rebuild.
     """
     rows = table.rows_map
+    # Keyed by identity: each entry keeps ``rows`` alive and hits only on ``is``.
     key = id(rows)
     epoch = table.mutations
     entry = _CACHE.get(key)

@@ -90,6 +90,7 @@ class PendingCharges:
         self._by_db: Dict[int, _DbCharges] = {}
 
     def _pending(self, db) -> _DbCharges:
+        # Keyed by identity: each ``_DbCharges.db`` keeps its database alive.
         pending = self._by_db.get(id(db))
         if pending is None:
             pending = self._by_db[id(db)] = _DbCharges(db)

@@ -17,11 +17,11 @@ from repro.datalog.diagnostics import (
     Severity,
     abstract_diagnostics,
     check_program,
-    ensure_valid,
     lint_source,
 )
-from repro.datalog.parser import parse_program
-from repro.datalog.plans import drain_planner_events
+from repro.datalog.parser import parse_program, parse_query
+from repro.engines import run_engine
+from repro.session import QuerySession
 
 
 def codes(diagnostics):
@@ -268,12 +268,50 @@ class TestSurfacing:
         diagnostics = abstract_diagnostics(program, database=database)
         only(diagnostics, "DL704")
 
-    def test_ensure_valid_records_planner_events_once(self):
+    def test_session_explain_renders_findings_of_the_memoized_analysis(self):
         program = parse_program("q(1). q(2).\np(X) :- q(X), X > 5.")
         database = Database()
-        drain_planner_events()
-        ensure_valid(program, database)
-        events = drain_planner_events()
-        assert "DL704" in [e.code for e in events]
-        ensure_valid(program, database)  # memoized analysis: no re-record
-        assert drain_planner_events() == []
+        session = QuerySession(program, database)
+        analysis = AbstractAnalysis.of(program, database)
+        assert session.explain("p(X)").count("hint[DL704]") == 1
+        assert session.explain("p(X)").count("hint[DL704]") == 1
+        # Memoized on the database: explain rebuilt nothing; a write does.
+        assert AbstractAnalysis.of(program, database) is analysis
+        database.add_facts("unrelated", [(1,)])
+        assert AbstractAnalysis.of(program, database) is not analysis
+
+
+class TestMemoOwnership:
+    def test_memo_lives_on_the_database_not_the_program(self):
+        program = parse_program("p(X) :- base(X), X > 5.")
+        first, second = Database(), Database()
+        first.add_facts("base", [(1,)])
+        second.add_facts("base", [(9,)])  # same version, different data
+        assert first.version == second.version
+        assert AbstractAnalysis.of(program, first).never_fires(program.rules[0])
+        assert not AbstractAnalysis.of(program, second).never_fires(program.rules[0])
+        assert "_analyses" not in program.__dict__
+
+    def test_equal_program_gets_its_own_analysis(self):
+        text = "q(1).\np(X) :- q(X), X > 5."
+        database = Database()
+        one, other = parse_program(text), parse_program("\n" + text)
+        assert one == other
+        assert AbstractAnalysis.of(one, database).program is one
+        assert AbstractAnalysis.of(other, database).program is other
+
+    def test_one_shot_answer_runs_no_abstract_analysis(self, monkeypatch):
+        calls = []
+        build = AbstractAnalysis.__dict__["of"].__func__
+
+        def counting_of(cls, *args, **kwargs):
+            calls.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(AbstractAnalysis, "of", classmethod(counting_of))
+        program = parse_program("t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).")
+        database = Database.from_dict({"e": [(1, 2), (2, 3)]})
+        for engine in ("seminaive", "magic", "graph"):
+            result = run_engine(engine, program, parse_query("t(1, Y)"), database)
+            assert result.answers == {(2,), (3,)}
+        assert calls == []

@@ -1,18 +1,17 @@
-"""Cost-based join ordering: mode switching, orders, cache keys, events."""
+"""Cost-based join ordering: mode switching, orders, cache keys, hints."""
 
 import pytest
 
 from repro.datalog.database import Database
 from repro.datalog.diagnostics import CODES, Diagnostic
+from repro.instrumentation import Counters
 from repro.datalog.literals import Literal
 from repro.datalog.plans import (
     body_plan,
     compile_plan,
-    drain_planner_events,
     estimated_body_cost,
     get_plan_mode,
     plan_mode,
-    record_planner_event,
     rule_plan,
     set_plan_mode,
 )
@@ -39,10 +38,8 @@ def skewed_db():
 @pytest.fixture(autouse=True)
 def _legacy_guard():
     clear_stats_cache()
-    drain_planner_events()
     yield
     set_plan_mode("legacy")
-    drain_planner_events()
 
 
 class TestModeSwitch:
@@ -150,20 +147,23 @@ class TestEstimatedBodyCost:
         assert estimated_body_cost([], PlanStatistics(skewed_db())) == 0.0
 
 
-class TestPlannerEvents:
-    def test_record_and_drain_in_order(self):
-        for message in ("first", "second"):
-            record_planner_event(
-                Diagnostic(
-                    code="DL601", severity=CODES["DL601"][0], message=message
-                )
+class TestPlannerHints:
+    def test_hints_merge_in_order_outside_the_work_model(self):
+        first, second = Counters(), Counters()
+        for counters, message in ((first, "first"), (second, "second")):
+            counters.hints.append(
+                Diagnostic(code="DL601", severity=CODES["DL601"][0], message=message)
             )
-        events = drain_planner_events()
-        assert [event.message for event in events] == ["first", "second"]
-        assert events[0].format().startswith("hint[DL601]")
-        assert drain_planner_events() == []
+        assert first == second  # hints take no part in counter equality
+        assert "hints" not in first.as_dict()
+        assert [hint.message for hint in (first + second).hints] == ["first", "second"]
+        first.absorb(second)
+        assert [hint.message for hint in first.hints] == ["first", "second"]
+        assert first.hints[0].format().startswith("hint[DL601]")
+        first.reset()
+        assert first.hints == []
 
-    def test_adaptive_replan_emits_dl601(self):
+    def test_adaptive_replan_hints_land_on_the_runs_counters(self):
         # A transitive closure over a long chain: the delta shrinks from the
         # full edge relation to a trickle, crossing the replan ratio.
         from repro.datalog.parser import parse_program
@@ -177,10 +177,11 @@ class TestPlannerEvents:
         )
         with plan_mode("cost"):
             result = evaluate_seminaive(program, database.copy())
-            events = drain_planner_events()
-        assert any(event.code == "DL601" for event in events)
-        assert all("tc" in event.message for event in events)
+        hints = result.counters.hints
+        assert any(hint.code == "DL601" for hint in hints)
+        assert all("tc" in hint.message for hint in hints)
         legacy = evaluate_seminaive(program, database.copy())
+        assert legacy.counters.hints == []
         assert set(result.rows("tc")) == set(legacy.rows("tc"))
 
 

@@ -2,9 +2,9 @@
 
 Every trigger asserts the stable code AND the exact ``line:column`` span;
 every near-miss asserts the same check stays silent on the closest clean
-variant.  A differential test then pins that a warning-only program
-evaluates identically with diagnostics on and off, across engines and
-sessions.
+variant.  A final class pins that a warning-only program still evaluates
+to its exact answers across engines and sessions, and that an
+unstratifiable one raises before any evaluation starts.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.datalog.diagnostics import (
     lint_program,
     lint_rules,
     lint_source,
-    set_eager_validation,
 )
 from repro.datalog.errors import (
     DatalogSyntaxError,
@@ -28,6 +27,7 @@ from repro.datalog.errors import (
 )
 from repro.datalog.parser import parse_program, parse_query, parse_rules
 from repro.engines import run_engine
+from repro.instrumentation import Counters
 from repro.session import QuerySession
 
 
@@ -384,37 +384,28 @@ q(3, 4).
 
 
 class TestDiagnosticsDifferential:
-    """A warning-only program evaluates identically with diagnostics on/off."""
+    """Warnings never change answers; errors raise before evaluation."""
 
     @pytest.mark.parametrize("engine", ["naive", "seminaive", "magic", "topdown"])
-    def test_engines_unaffected_by_eager_validation(self, engine):
+    def test_engines_unaffected_by_warnings(self, engine):
         program = parse_program(WARNING_ONLY)
-        query = parse_query("p(X)")
-        with_checks = run_engine(engine, program, query).answers
-        previous = set_eager_validation(False)
-        try:
-            without_checks = run_engine(engine, program, query).answers
-        finally:
-            set_eager_validation(previous)
-        assert with_checks == without_checks == {(1,), (2,), (3,)}
+        assert "DL403" in codes(check_program(program))
+        answers = run_engine(engine, program, parse_query("p(X)")).answers
+        assert answers == {(1,), (2,), (3,)}
 
-    def test_sessions_unaffected_by_validation_flag(self):
-        checked = QuerySession(parse_program(WARNING_ONLY))
-        unchecked = QuerySession(parse_program(WARNING_ONLY), validate=False)
-        assert {d.code for d in checked.diagnostics} >= {"DL403"}
-        assert unchecked.diagnostics == []
-        assert (
-            checked.query("p(X)").answers
-            == unchecked.query("p(X)").answers
-            == {(1,), (2,), (3,)}
-        )
+    def test_session_collects_warnings_and_answers(self):
+        session = QuerySession(parse_program(WARNING_ONLY))
+        assert {d.code for d in session.diagnostics} >= {"DL403"}
+        assert session.query("p(X)").answers == {(1,), (2,), (3,)}
 
     def test_stratified_program_raises_eagerly_not_mid_answer(self):
         program = parse_program("win(X) :- move(X, Y), not win(Y).\n")
         with pytest.raises(StratificationError):
             QuerySession(program)
-        # validate=False restores the lazy behaviour: the error surfaces
-        # from the engine instead, with the same type.
-        session = QuerySession(program, validate=False)
+        # One-shot runs raise from Engine.answer's prepare-time check, with
+        # the same type, before any fixpoint starts.
+        database = Database.from_dict({"move": [("a", "b")]})
+        counters = Counters()
         with pytest.raises(StratificationError):
-            session.query("win(X)")
+            run_engine("seminaive", program, parse_query("win(X)"), database, counters)
+        assert counters.total_work() == 0

@@ -6,6 +6,8 @@ engine x storage mode x plan mode x execution mode; the golden explain test
 pins the dead-rule-elimination report the acceptance criteria ask for.
 """
 
+import gc
+
 import pytest
 
 from repro.datalog.database import Database
@@ -19,7 +21,7 @@ from repro.datalog.transform import (
     program_opt,
     set_program_opt,
 )
-from repro.engines import available_engines, get_engine
+from repro.engines import available_engines, get_engine, run_engine
 from repro.session import QuerySession
 from repro.storage.runtime import storage_mode
 
@@ -182,6 +184,25 @@ class TestEngineIntegration:
         assert optimized.answers == baseline.answers
         report = optimized.details["program_opt"]
         assert report[0].startswith("program optimizer: rules")
+
+    def test_fresh_databases_never_share_a_memo(self):
+        # Freed databases' ids are reused and both shapes reach version 2:
+        # a memo keyed on (id, version) served one shape's rewrite to the
+        # other.  The memo now lives on the snapshot it describes.
+        program = parse_program("p(X) :- q(X). p(X) :- r(X).")
+        query = parse_query("p(X)")
+        with program_opt("on"):
+            for attempt in range(200):
+                if attempt % 2:
+                    facts, expected = {"r": [(1,)], "other": [(0,)]}, {(1,)}
+                else:
+                    facts, expected = {"q": [(2,)], "other": [(0,)]}, {(2,)}
+                database = Database.from_dict(facts)
+                assert database.version == 2
+                result = run_engine("seminaive", program, query, database)
+                assert result.answers == expected, f"attempt {attempt}"
+                del database
+                gc.collect()
 
 
 DIFFERENTIAL_PROGRAMS = [

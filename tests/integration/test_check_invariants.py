@@ -1,9 +1,12 @@
-"""The storage-encapsulation invariant checker (``tools/check_invariants.py``).
+"""The repo invariant checker (``tools/check_invariants.py``).
 
-Pins three things: the real source tree is clean, a synthetic violation is
-flagged with an exact ``line:column``, and the ``self``/storage-package
-exemptions hold so the checker never cries wolf.
+Pins three things: the real source tree is clean, synthetic violations of
+both rules (storage encapsulation, ``id(...)``-keyed maps) are flagged with
+an exact ``line:column``, and the exemptions -- ``self`` access, the storage
+package, the identity-key allow-list -- hold so the checker never cries wolf.
 """
+
+import pytest
 
 import subprocess
 import sys
@@ -55,6 +58,71 @@ class TestCheckFile:
         violations = check_invariants.check_file(source)
         assert len(violations) == 1
         assert "cannot parse" in violations[0][2]
+
+
+ID_KEY_TRIGGERS = [
+    ("memo[id(obj)] = value", (2, 5)),
+    ("hit = memo.get(id(obj))", (2, 11)),
+    ("memo.setdefault((id(obj), 1), value)", (2, 5)),
+    ("seen.add(id(obj))", (2, 5)),
+    ("hit = id(obj) not in seen", (2, 11)),
+    ("key = (id(obj), obj.version)", (2, 5)),
+    ("key = (None if obj is None else id(obj), 2)", (2, 5)),
+    ("plan_key = id(obj)", (2, 5)),
+]
+
+ID_KEY_NEAR_MISSES = [
+    "print(id(obj))",
+    "ids = [id(obj)]",
+    "key = (obj, obj.version)",
+    "hit = obj in seen",
+    "memo[obj] = id(obj)",
+    "memo.get(obj, id(obj))",
+]
+
+
+def _function(tmp_path, body, name="client.py"):
+    source = tmp_path / name
+    source.write_text(f"def use(obj, memo, seen, value):\n    {body}\n")
+    return source
+
+
+class TestIdKeys:
+    @pytest.mark.parametrize("body,position", ID_KEY_TRIGGERS)
+    def test_flags_identity_key(self, tmp_path, body, position):
+        violations = check_invariants.check_file(_function(tmp_path, body))
+        assert len(violations) == 1
+        line, column, message = violations[0]
+        assert (line, column) == position
+        assert "`id(...)`" in message
+
+    @pytest.mark.parametrize("body", ID_KEY_NEAR_MISSES)
+    def test_near_miss_is_clean(self, tmp_path, body):
+        assert check_invariants.check_file(_function(tmp_path, body)) == []
+
+    def test_allow_list_names_path_and_function(self, tmp_path):
+        nested = tmp_path / "src" / "repro" / "storage"
+        nested.mkdir(parents=True)
+        source = nested / "columns.py"
+        source.write_text(
+            "class PendingCharges:\n"
+            "    def _pending(self, db):\n"
+            "        return self._by_db.get(id(db))\n"
+            "    def other(self, db):\n"
+            "        return self._by_db.get(id(db))\n"
+        )
+        violations = check_invariants.check_file(source)
+        assert [line for line, _, _ in violations] == [5]
+
+    def test_every_allow_list_entry_names_its_reference(self):
+        for (suffix, function), reference in check_invariants.ID_KEY_ALLOWED.items():
+            assert suffix.endswith(".py") and function and reference.strip()
+
+    def test_storage_package_is_not_exempt(self, tmp_path):
+        nested = tmp_path / "src" / "repro" / "storage"
+        nested.mkdir(parents=True)
+        (nested / "table.py").write_text("def f(memo, row):\n    return memo[id(row)]\n")
+        assert check_invariants.check_tree([tmp_path / "src"]) == 1
 
 
 class TestRepoTree:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.datalog.database import Database
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program
-from repro.datalog.plans import drain_planner_events, execution_mode, plan_mode
+from repro.datalog.plans import execution_mode, plan_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.instrumentation import Counters
@@ -70,7 +70,6 @@ def _answers(engine, program, query, database, exec_mode, planning):
     clear_stats_cache()
     with plan_mode(planning), execution_mode(exec_mode):
         result = run_engine(engine, program, query, fresh, counters)
-    drain_planner_events()  # don't leak adaptive-replan events process-wide
     return result.answers
 
 
