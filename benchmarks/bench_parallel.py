@@ -1,4 +1,4 @@
-"""Scaling benchmark for the parallel fixpoint scheduler.
+"""Scaling benchmark for the parallel whole-fixpoint offload.
 
 Runs the same workload matrix twice in the *same* tree -- once at
 ``set_parallelism(1)`` (the sequential oracle path) and once at
@@ -11,13 +11,13 @@ times (``fact_retrievals`` runs 3-6x ``derived_tuples``), so the join *and*
 the duplicate pruning -- the bulk of the evaluation -- execute on the fork
 pool, while the parent's serial share is one bulk merge of the novel rows.
 The 4-worker pass must reach ``PARALLEL_THRESHOLD`` (2.5x).  ``guard``
-cells are shapes the scheduler must leave alone -- a right-linear chain
-(shard-ineligible, single SCC) and a sub-threshold wide closure -- which
+cells are shapes the offload must leave alone -- a right-linear chain
+(ineligible) and a closure whose seed delta is below the threshold -- which
 must never regress below ``GUARD_FLOOR`` (0.9x): parallelism that is not
 engaged must cost nothing.  The ``info`` cell is the adversarial extreme
 kept honest in the report: disjoint chains derive every tuple exactly once,
-so nearly all its cost is the parent's serial insert and sharding cannot
-pay for itself; it is never gated.
+so nearly all its cost is the parent's serial insert and the offload
+cannot pay for itself; it is never gated.
 
 The speedup gate is only meaningful on a multi-core host.  The report
 records ``os.cpu_count()``; when fewer than 4 CPUs are available (or fork
@@ -114,7 +114,7 @@ def cell_matrix():
         "tc-rand-1300x5200/seminaive": (lambda: _random_tc(1300, 5200, 7), "threshold"),
         # -- info cell: zero-duplication worst case, reported but not gated -
         "tc-wide-2000x40/seminaive": (lambda: _wide_tc(2000, 40), "info"),
-        # -- guard cells: the scheduler must not engage, and must not cost --
+        # -- guard cells: the offload must not engage, and must not cost ---
         "tc-chain-600/seminaive": (lambda: chain(600), "guard"),
         "tc-wide-40x40/seminaive": (lambda: _wide_tc(40, 40), "guard"),
     }

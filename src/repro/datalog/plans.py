@@ -445,23 +445,11 @@ class _BatchInfo:
     __slots__ = ("shape", "steps", "wanted_after")
 
 
-#: Cache sentinel for :meth:`JoinPlan.shard_recipe` ("not analysed yet", as
-#: opposed to ``None`` = "analysed, not shardable").
-_SHARD_UNSET = object()
-
-
 class ShardRecipe:
-    """Delta-sharding metadata for a two-step delta-first plan.
-
-    Computed once per plan (and plans are cached per delta variant in the
-    plan cache, so this is per-variant work, not per-round work): the
-    parallel runtime partitions the per-round delta rows by the interned
-    code at ``lead_position`` -- the delta column that binds the plan's
-    leading join key -- and each worker evaluates its partition through the
-    ordinary :meth:`JoinPlan.head_batch` against the frozen main database.
+    """Fixpoint-offload metadata for a two-step delta-first plan.
 
     A recipe exists only for the shapes whose observable charging the
-    parent can reconstruct exactly (see the runtime's shard executor):
+    parallel runtime can reconstruct exactly (see its fixpoint offload):
     SAFE two-step plans driving from the delta (step 0 ``SOURCE_DERIVED``)
     into a keyed probe of one main-database relation (step 1
     ``SOURCE_MAIN``), with no negations anywhere and no filters or
@@ -470,33 +458,20 @@ class ShardRecipe:
     ``fact_retrievals`` for the probe step equal the number of head rows
     produced -- every probed bucket row yields exactly one head row.
 
-    ``invariant_position`` additionally marks a column the recursion
-    carries through unchanged: the rule is self-recursive (the head
-    predicate is the delta predicate) and the head copies the variable the
-    delta binds at that position *at the same position*.  Rows then never
+    The rule must also be self-recursive (the head predicate is the delta
+    predicate) with an ``invariant_position``: a column whose variable the
+    head copies from the delta *at the same position*.  Rows then never
     mix across distinct values of that column, so the whole fixpoint
-    partitions by it -- each worker can run its partition's delta rounds
-    to completion locally, with no per-round synchronisation (the
-    runtime's fixpoint-sharding fast path).  ``None`` when no such column
-    exists; per-round sharding by ``lead_position`` still applies.
+    partitions by it and each worker can run its partition's delta rounds
+    to completion locally, with no per-round synchronisation.
     """
 
-    __slots__ = (
-        "delta_predicate",
-        "lead_position",
-        "probe_predicate",
-        "invariant_position",
-    )
+    __slots__ = ("delta_predicate", "probe_predicate", "invariant_position")
 
     def __init__(
-        self,
-        delta_predicate: str,
-        lead_position: int,
-        probe_predicate: str,
-        invariant_position: "Optional[int]" = None,
+        self, delta_predicate: str, probe_predicate: str, invariant_position: int
     ):
         self.delta_predicate = delta_predicate
-        self.lead_position = lead_position
         self.probe_predicate = probe_predicate
         self.invariant_position = invariant_position
 
@@ -520,7 +495,6 @@ class JoinPlan:
         "_binfo",
         "_aborts",
         "_scan0",
-        "_shard",
     )
 
     def __init__(
@@ -575,9 +549,6 @@ class JoinPlan:
         # Valid while the scanned table object is unchanged; the cached
         # lists are shared read-only (filters rebind, never mutate).
         self._scan0 = None
-        # Delta-sharding analysis, built lazily on first use (see
-        # :meth:`shard_recipe`).
-        self._shard = _SHARD_UNSET
 
     # -- public views ------------------------------------------------------
 
@@ -907,24 +878,15 @@ class JoinPlan:
         return info
 
     def shard_recipe(self) -> Optional[ShardRecipe]:
-        """The delta-sharding recipe, or ``None`` when not shardable (cached).
+        """The fixpoint-offload recipe, or ``None`` when not offloadable.
 
-        See :class:`ShardRecipe` for the eligible shape.  The analysis runs
-        once per plan object; since delta-variant plans are cached in the
-        plan cache, the per-round cost of the parallel runtime's shard
-        dispatch is a single attribute read.
+        See :class:`ShardRecipe` for the eligible shape.
         """
-        recipe = self._shard
-        if recipe is _SHARD_UNSET:
-            recipe = self._build_shard_recipe()
-            self._shard = recipe
-        return recipe
-
-    def _build_shard_recipe(self) -> Optional[ShardRecipe]:
         binfo = self._binfo
         if binfo is None:
             binfo = self._build_batch_info()
         steps = self.steps
+        head = self.head
         if (
             binfo.shape != _SHAPE_SAFE
             or len(steps) != 2
@@ -935,37 +897,17 @@ class JoinPlan:
             or steps[1].neg_checks
             or steps[1].checks
             or steps[1].intra_eq
+            or not binfo.steps[1].key_slots
+            or head is None
+            or head.predicate != steps[0].predicate
+            or len(self.head_template) != len(head.args)
         ):
             return None
-        info1 = binfo.steps[1]
-        if not info1.key_slots:
-            return None
-        lead_slot = info1.key_slots[0]
-        lead_position = None
-        for position, slot in steps[0].outputs:
-            if slot == lead_slot:
-                lead_position = position
-                break
-        if lead_position is None:
-            return None
-        invariant_position = None
-        head = self.head
-        if (
-            head is not None
-            and head.predicate == steps[0].predicate
-            and len(self.head_template) == len(head.args)
-        ):
-            bound_at = dict(steps[0].outputs)
-            for position, (slot, _value) in enumerate(self.head_template):
-                if slot is not None and bound_at.get(position) == slot:
-                    invariant_position = position
-                    break
-        return ShardRecipe(
-            steps[0].predicate,
-            lead_position,
-            steps[1].predicate,
-            invariant_position,
-        )
+        bound_at = dict(steps[0].outputs)
+        for position, (slot, _value) in enumerate(self.head_template):
+            if slot is not None and bound_at.get(position) == slot:
+                return ShardRecipe(steps[0].predicate, steps[1].predicate, position)
+        return None
 
     def head_batch(
         self,

@@ -54,39 +54,18 @@ aggregation included:
 
 **Parallel evaluation.**  When :func:`repro.parallel.set_parallelism` (or the
 ``REPRO_PARALLELISM`` environment variable) selects more than one worker, the
-seminaive driver arms two concurrency levels, both strictly behind the
-switch -- the default of ``1`` runs the historical sequential code paths
-byte for byte, which stay the differential oracle:
-
-* **Level 1 -- independent SCCs.**  :func:`_seminaive_stratum` partitions a
-  stratum's components into dependency *waves* (a component whose rule
-  bodies mention an earlier component's predicates waits for it); the
-  components of one wave evaluate concurrently in threads, each against its
-  own copy-on-write :meth:`~repro.datalog.database.Database.overlay` with a
-  private :class:`~repro.instrumentation.Counters` bundle but a *shared*
-  touched set (``share_touched=True``), so the ``distinct_facts`` total is
-  the growth of one union.  After the wave joins, overlays merge back in
-  evaluation order (:meth:`~repro.datalog.database.Database.absorb_overlay`
-  + :meth:`~repro.instrumentation.Counters.absorb`), reproducing the
-  sequential journal, relations and counters exactly.
-* **Level 2 -- sharded delta rounds.**  Inside a (main-thread) component
-  fixpoint, a delta round whose plan is shard-eligible (see
-  :class:`~repro.datalog.plans.ShardRecipe`) and whose delta relation holds
-  at least :data:`_SHARD_MIN_ROWS` rows is partitioned by the interned code
-  of the plan's leading join key and dispatched to a persistent
-  fork-inherited :class:`~repro.parallel.WorkerPool`.  Workers are
-  probe-only: each rebuilds its shard of the delta from shipped code
-  columns, runs the ordinary :meth:`~repro.datalog.plans.JoinPlan
-  .head_batch` against the inherited (frozen) main database, and reports
-  coded head rows plus the distinct probe rows it touched.  The parent
-  merges shards in worker order and replays the exact observable charges:
-  ``fact_retrievals`` is the merged head-row count (each probed bucket row
-  yields exactly one head row for eligible shapes) and ``distinct_facts``
-  is the growth of the parent's touched set under the union of the
-  workers' candidates.  Answers and aggregated counters are identical to
-  sequential evaluation; within-round row *order* is deterministic (worker
-  index, then delta order) but not sequential-identical, which only
-  permutes set-insertion order downstream.
+seminaive driver may offload a whole component fixpoint to a fork worker
+pool (:func:`_offload_fixpoint`).  The default of ``1`` never reaches it, and
+the sequential path stays the differential oracle.  The offload takes one
+shape: a component whose delta-round loop is a single plan carrying an
+invariant head column (see :class:`~repro.datalog.plans.ShardRecipe`; the
+left-linear transitive closure is the canonical case), with a seed delta of
+at least :data:`_SHARD_MIN_ROWS` rows, under the columnar executor and
+kernel storage.  The seed delta is partitioned by the invariant column's
+interned code, each worker iterates its partition to a local fixpoint, and
+the parent inserts the union once and replays the exact counters.  Answers
+and counters are identical to sequential evaluation; every other component
+evaluates sequentially.
 
 The Jacobi driver and the DRed/resume paths stay sequential: the naive
 driver exists to reproduce the paper's duplicated-work measurements, and
@@ -95,7 +74,6 @@ the maintenance passes are delta-sized, not fixpoint-sized.
 
 from __future__ import annotations
 
-import threading
 import time
 from array import array
 from itertools import repeat as _repeat
@@ -113,25 +91,10 @@ from ..storage.interner import global_interner
 from ..storage.runtime import MODE_KERNEL
 
 
-#: Delta relations smaller than this evaluate sequentially even when
-#: parallelism is armed: below it, the per-round dispatch overhead (pickling
-#: the code columns, pipe round-trips, decoding results) exceeds the join
-#: itself.  Tests lower it through :func:`set_shard_min_rows` to force the
-#: sharded path onto small workloads.
+#: Seed deltas smaller than this evaluate sequentially even when parallelism
+#: is armed: below it, forking the pool and shipping the code columns cost
+#: more than the fixpoint itself.
 _SHARD_MIN_ROWS = 4096
-
-
-def set_shard_min_rows(rows: int) -> int:
-    """Set the sharding threshold (rows per delta relation); returns the old.
-
-    A test knob: production code should leave the default alone.
-    """
-    global _SHARD_MIN_ROWS
-    if not isinstance(rows, int) or rows < 1:
-        raise ValueError(f"shard threshold must be a positive integer, got {rows!r}")
-    previous = _SHARD_MIN_ROWS
-    _SHARD_MIN_ROWS = rows
-    return previous
 
 
 def _batch_heads(
@@ -234,13 +197,8 @@ def _seminaive_stratum(
     Components are processed in the stratum's evaluation order (the reverse
     topological order of the SCCs, filtered to the stratum), exactly as the
     historical seminaive engine processed ``analysis.evaluation_order()``.
-    With parallelism armed, components that do not depend on each other
-    evaluate concurrently in dependency waves (see :func:`_evaluate_wave`);
-    the merge order is still evaluation order, so relations, journal and
-    counters are identical to the sequential pass.
     """
     derived_predicates = program.derived_predicates
-    entries: List[Tuple[Set[str], List[Rule]]] = []
     for component in stratum.components:
         component_predicates = set(component) & derived_predicates
         if not component_predicates:
@@ -251,107 +209,7 @@ def _seminaive_stratum(
             for rule in program.rules_for(predicate)
             if rule.body
         ]
-        entries.append((component_predicates, rules))
-    workers = _parallel.parallelism()
-    if workers <= 1 or len(entries) <= 1:
-        for component_predicates, rules in entries:
-            evaluate_component(rules, component_predicates, database, counters)
-        return None
-    try:
-        for wave in _dependency_waves(entries):
-            for start in range(0, len(wave), workers):
-                chunk = wave[start : start + workers]
-                if len(chunk) == 1:
-                    component_predicates, rules = entries[chunk[0]]
-                    evaluate_component(
-                        rules, component_predicates, database, counters
-                    )
-                else:
-                    _evaluate_wave(
-                        [entries[i] for i in chunk], database, counters
-                    )
-    finally:
-        # Later sequential charging should not keep paying for the lock the
-        # wave overlays installed on the shared touched set.
-        database._charge_lock = None
-    return None
-
-
-def _dependency_waves(
-    entries: List[Tuple[Set[str], List[Rule]]]
-) -> List[List[int]]:
-    """Partition a stratum's components into independently evaluable waves.
-
-    ``entries`` is the stratum's (predicates, rules) list in evaluation
-    order, so every dependency points at an *earlier* entry.  A component's
-    wave is one past the deepest wave it reads from (longest-path layering),
-    which puts two components in the same wave only when neither's rule
-    bodies mention the other's predicates -- evaluating them concurrently
-    then reads exactly the data sequential evaluation would have read.
-    """
-    owner: Dict[str, int] = {}
-    for index, (predicates, _rules) in enumerate(entries):
-        for predicate in predicates:
-            owner[predicate] = index
-    levels: List[int] = []
-    for index, (_predicates, rules) in enumerate(entries):
-        level = 0
-        for rule in rules:
-            for literal in rule.body:
-                other = owner.get(literal.predicate)
-                if other is not None and other < index:
-                    level = max(level, levels[other] + 1)
-        levels.append(level)
-    waves: Dict[int, List[int]] = {}
-    for index, level in enumerate(levels):
-        waves.setdefault(level, []).append(index)
-    return [waves[level] for level in sorted(waves)]
-
-
-def _evaluate_wave(
-    components: List[Tuple[Set[str], List[Rule]]],
-    database: Database,
-    counters: Counters,
-) -> None:
-    """Evaluate independent components concurrently and merge deterministically.
-
-    Each component gets a copy-on-write overlay with a private counter
-    bundle and the *shared* touched set (``share_touched=True`` -- the
-    distinct-fact total is the growth of one union, charged under one lock).
-    Worker threads may finish in any order; the merge runs on the calling
-    thread in evaluation order, so journals, relation replacement and
-    counter totals land exactly as sequential evaluation would have landed
-    them.  Sharding is disabled inside the threads: forking is only safe
-    from a quiescent main thread.
-    """
-    overlays = [
-        Database.overlay(database, counters=Counters(), share_touched=True)
-        for _ in components
-    ]
-    errors: List[BaseException] = []
-
-    def run(entry: Tuple[Set[str], List[Rule]], overlay: Database) -> None:
-        predicates, rules = entry
-        try:
-            evaluate_component(
-                rules, predicates, overlay, overlay.counters, allow_sharding=False
-            )
-        except BaseException as exc:  # re-raised on the caller's thread
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=run, args=(entry, overlay), daemon=True)
-        for entry, overlay in zip(components, overlays)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    for overlay in overlays:
-        counters.absorb(overlay.counters)
-        database.absorb_overlay(overlay)
+        evaluate_component(rules, component_predicates, database, counters)
 
 
 def _fire_folds(
@@ -378,7 +236,6 @@ def evaluate_component(
     recursive_predicates: Set[str],
     database: Database,
     counters: Counters,
-    allow_sharding: bool = True,
 ) -> None:
     """Seminaive iteration for one group of mutually recursive predicates.
 
@@ -394,10 +251,8 @@ def evaluate_component(
     in strictly lower strata and cannot change here); negated literals never
     read the delta (stratification puts them below this component).
 
-    With parallelism armed (and ``allow_sharding`` true -- the parallel SCC
-    scheduler passes false inside worker threads, where forking is unsafe),
-    delta rounds of shard-eligible plans over large deltas run on the fork
-    worker pool; see :class:`_ShardContext`.
+    With parallelism armed, an eligible component runs its whole delta-round
+    loop on the fork worker pool instead; see :func:`_offload_fixpoint`.
     """
     scan_rules = [rule for rule in rules if not rule.is_aggregate]
     recursive_key = frozenset(recursive_predicates)
@@ -429,22 +284,12 @@ def evaluate_component(
         (rule, delta_plans(rule, recursive_key, database=database))
         for rule in scan_rules
     ]
-    shard: Optional[_ShardContext] = None
-    if (
-        allow_sharding
-        and _parallel.parallelism() > 1
-        and _plans._mode == _plans._MODE_COLUMNAR
-        and _storage_runtime._mode == MODE_KERNEL
-        and _parallel.fork_available()
-    ):
-        shard = _ShardContext(database, recursive_key, variants)
-        if not shard.plans:
-            shard = None
-    # Mid-fixpoint adaptive re-planning (cost mode, unsharded rounds only:
-    # the shard executor's charge replay is tied to the plan objects it was
-    # built with).  ``assumed`` records the cardinality each recursive
-    # predicate was costed with when the current variants were compiled.
-    adaptive = shard is None and _plans._plan_mode == _plans._PLAN_COST
+    if _offload_fixpoint(variants, database, delta, counters):
+        return
+    # Mid-fixpoint adaptive re-planning (cost mode).  ``assumed`` records the
+    # cardinality each recursive predicate was costed with when the current
+    # variants were compiled.
+    adaptive = _plans._plan_mode == _plans._PLAN_COST
     assumed: Dict[str, float] = {}
     if adaptive:
         for predicate in recursive_key:
@@ -452,42 +297,32 @@ def evaluate_component(
             assumed[predicate] = (
                 float(len(relation.table)) if relation is not None else 1.0
             )
-    try:
-        if shard is not None and shard.run_fixpoint(delta, counters):
-            delta = Database()  # the offloaded fixpoint ran to completion
-        while delta.total_facts():
-            if adaptive:
-                replanned = _adapt_delta_variants(
-                    scan_rules, recursive_key, database, delta, assumed, counters
-                )
-                if replanned is not None:
-                    variants = replanned
-            new_delta = Database()
-            for rule, plans in variants:
-                head_predicate = rule.head.predicate
-                for plan in plans:
-                    batch = None
-                    if shard is not None:
-                        batch = shard.execute(plan, delta)
-                    if batch is None:
-                        batch = _batch_heads(plan, database, derived=delta)
-                    if batch is not None:
-                        counters.rule_firings += len(batch)
-                        new_rows = database.add_rows(head_predicate, batch)
-                        if new_rows:
-                            counters.derived_tuples += len(new_rows)
-                            new_delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                        continue
-                    for head_row in plan.heads(database, derived=delta):
-                        counters.rule_firings += 1
-                        if database.add_fact(head_predicate, head_row):
-                            counters.derived_tuples += 1
-                            new_delta.add_fact(head_predicate, head_row)
-            counters.iterations += 1
-            delta = new_delta
-    finally:
-        if shard is not None:
-            shard.close()
+    while delta.total_facts():
+        if adaptive:
+            replanned = _adapt_delta_variants(
+                scan_rules, recursive_key, database, delta, assumed, counters
+            )
+            if replanned is not None:
+                variants = replanned
+        new_delta = Database()
+        for rule, plans in variants:
+            head_predicate = rule.head.predicate
+            for plan in plans:
+                batch = _batch_heads(plan, database, derived=delta)
+                if batch is not None:
+                    counters.rule_firings += len(batch)
+                    new_rows = database.add_rows(head_predicate, batch)
+                    if new_rows:
+                        counters.derived_tuples += len(new_rows)
+                        new_delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
+                    continue
+                for head_row in plan.heads(database, derived=delta):
+                    counters.rule_firings += 1
+                    if database.add_fact(head_predicate, head_row):
+                        counters.derived_tuples += 1
+                        new_delta.add_fact(head_predicate, head_row)
+        counters.iterations += 1
+        delta = new_delta
 
 
 #: Adaptive re-planning threshold: a delta round's observed cardinality
@@ -557,474 +392,157 @@ def _adapt_delta_variants(
 
 
 # ---------------------------------------------------------------------------
-# Level 2: sharded delta rounds on a fork worker pool
+# Whole-fixpoint offload on a fork worker pool
 # ---------------------------------------------------------------------------
 
-class _ShardContext:
-    """Per-component orchestration of sharded delta rounds.
+def _offload_fixpoint(
+    variants,
+    database: Database,
+    delta: Database,
+    counters: Counters,
+) -> bool:
+    """Run a component's entire delta-round loop on a fork worker pool.
 
-    Created by :func:`evaluate_component` when parallelism is armed; scoped
-    to one component fixpoint so the invariants are simple: the relations a
-    shard-eligible plan probes (:class:`~repro.datalog.plans.ShardRecipe`
-    requires them outside the component) are never written while the
-    context is alive, so a forked worker's inherited copy stays valid for
-    the whole fixpoint.  The pool forks lazily, on the first round whose
-    delta reaches :data:`_SHARD_MIN_ROWS`, and re-forks if the interner has
-    grown past a shipped code (a new head *constant* -- derived values
-    otherwise reuse codes allocated before the fork) or a probed relation
-    changed identity (defensive; cannot happen within one component).
+    Eligible when parallelism is armed under the columnar executor and
+    kernel storage, the loop consists of exactly one plan, and that plan's
+    :class:`~repro.datalog.plans.ShardRecipe` carries an invariant column:
+    the seed ``delta`` (round 0's insertions) is partitioned by that
+    column's code, each worker iterates its partition to a local fixpoint
+    (partitions are closed under the rule, so local completion is global
+    completion), and the parent inserts the union of novel rows once.  With
+    a single plan, its delta occurrence is the component's only recursive
+    body literal, so the relation it probes lies outside the component and
+    nothing the workers read changes while they run.  ``True`` means the fixpoint is
+    complete and the caller must skip the round loop; ``False`` --
+    ineligible, a seed below :data:`_SHARD_MIN_ROWS`, no fork, or a worker
+    that failed or died -- means nothing was charged and the sequential
+    loop runs as usual.
 
-    Counter parity is replayed, not approximated: for eligible shapes the
-    step-0 delta scan is uncharged (the delta is runtime scratch with its
-    own counters) and every probed bucket row of the keyed step yields
-    exactly one head row, so the parent charges ``fact_retrievals`` and
-    ``rule_firings`` by the workers' *produced* row counts (pre-pruning;
-    see :func:`_shard_worker`) and ``distinct_facts`` by the growth of its
-    touched set under the workers' reported probe rows.  Bucket charging
-    memos are deliberately *not* replayed -- they are total-preserving
-    optimizations, so a later sequential round re-walking a bucket charges
-    identically.
+    Counter parity: ``fact_retrievals`` and ``rule_firings`` are the
+    summed produced-row counts (exact for the eligible shape, round by
+    round); ``derived_tuples`` is the insert count of the disjoint novel
+    unions; ``distinct_facts`` is parent touched-set growth; and
+    ``iterations`` is the *maximum* worker round count -- the sequential
+    loop runs until every partition's frontier is empty, so its round count
+    is exactly the deepest partition's.
     """
-
-    def __init__(
-        self,
-        database: Database,
-        recursive_predicates: FrozenSet[str],
-        variants,
-    ) -> None:
-        self.database = database
-        self.workers = _parallel.parallelism()
-        self.interner = global_interner()
-        #: Shard-eligible plans, in variant order; workers address them by
-        #: index through the fork-inherited pool state.
-        self.plans: List[object] = []
-        self._recipes: Dict[int, Tuple[int, object]] = {}
-        total_plans = 0
-        for _rule, plans in variants:
-            for plan in plans:
-                total_plans += 1
-                recipe = plan.shard_recipe()
-                if recipe is None or recipe.probe_predicate in recursive_predicates:
-                    continue
-                # Keyed by identity: ``self.plans`` keeps every keyed plan alive.
-                self._recipes[id(plan)] = (len(self.plans), recipe)
-                self.plans.append(plan)
-        # Whole-fixpoint offload needs the round loop fully covered by one
-        # shard-eligible plan carrying an invariant column: then partitions
-        # never exchange rows and each worker can run its delta rounds to
-        # completion without per-round synchronisation.
-        self.fixpoint_recipe = None
-        if total_plans == 1 and len(self.plans) == 1:
-            only = self.plans[0].shard_recipe()
-            if only is not None and only.invariant_position is not None:
-                self.fixpoint_recipe = only
-        self.pool: Optional[_parallel.WorkerPool] = None
-        self._failed = False
-        self._fork_len = 0
-        self._frozen: Dict[str, Tuple[Optional[Relation], int]] = {}
-
-    # -- pool lifecycle ----------------------------------------------------
-
-    def _fork(self) -> None:
-        self.close()
-        if self._failed:
-            return
-        self._fork_len = len(self.interner)
-        self._frozen = {}
-        for _index, recipe in self._recipes.values():
-            relation = self.database.relations.get(recipe.probe_predicate)
-            self._frozen[recipe.probe_predicate] = (
-                relation,
-                relation.table.mutations if relation is not None else -1,
-            )
-        try:
-            self.pool = _parallel.WorkerPool(
-                self.workers, state=(self.database, self.plans)
-            )
-        except _parallel.WorkerError:
-            self._failed = True
-            self.pool = None
-
-    def _fresh(self, recipe) -> bool:
-        relation = self.database.relations.get(recipe.probe_predicate)
-        current = (
-            relation,
-            relation.table.mutations if relation is not None else -1,
-        )
-        return self._frozen.get(recipe.probe_predicate) == current
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-    # -- dispatch ----------------------------------------------------------
-
-    def execute(self, plan, delta: Database) -> Optional[List[Row]]:
-        """Run one delta round of ``plan`` on the pool; merged heads or None.
-
-        ``None`` sends the caller to the ordinary sequential batch path:
-        the plan is not shard-eligible, the delta is below the threshold,
-        or the pool is unavailable (fork failed, or a worker died -- in
-        which case no charge has been applied and the sequential re-run is
-        exact).
-        """
-        entry = self._recipes.get(id(plan))
-        if entry is None:
-            return None
-        index, recipe = entry
-        delta_relation = delta.relations.get(recipe.delta_predicate)
-        if delta_relation is None:
-            return None
-        table = delta_relation.table
-        if len(table) < _SHARD_MIN_ROWS:
-            return None
-        if self.pool is None or not self.pool.alive:
-            self._fork()
-        if self.pool is None:
-            return None
-        arrays = table.column_arrays()
-        stale = len(self.interner) != self._fork_len and any(
-            len(column) and max(column) >= self._fork_len for column in arrays
-        )
-        if stale or not self._fresh(recipe):
-            self._fork()
-            if self.pool is None:
-                return None
-        # One payload, sent to every worker: each filters its own shard by
-        # ``lead_code % workers``, so the parent never partitions rows.
-        col_bytes = [column.tobytes() for column in arrays]
-        tasks = [
-            ("shard_join", (index, self.workers, windex, col_bytes))
-            for windex in range(self.workers)
-        ]
-        try:
-            results = self.pool.run(tasks)
-        except _parallel.WorkerError:
-            self._failed = True
-            self.close()
-            return None
-        return self._merge(plan, recipe, results)
-
-    def _merge(self, plan, recipe, results) -> List[Row]:
-        """Decode shard results in worker order and replay the charges."""
-        started = time.perf_counter()
-        database = self.database
-        counters = database.counters
-        value_of = self.interner._value_of
-        head_arity = len(plan.head_template)
-        probe_relation = database.relations.get(recipe.probe_predicate)
-        rows_map = probe_relation.table.rows_map if probe_relation is not None else {}
-        probe_arity = probe_relation.arity if probe_relation is not None else 0
-        predicate = recipe.probe_predicate
-        touched = database._touched
-        before = len(touched)
-        batch_stats = counters.batch
-        heads: List[Row] = []
-        produced_total = 0
-        for produced, count, flat, fallback, touched_blob, stats in results:
-            produced_total += produced
-            if count:
-                codes = array("q")
-                codes.frombytes(flat)
-                if head_arity:
-                    values = [value_of[code] for code in codes]
-                    grouped = list(zip(*(iter(values),) * head_arity))
-                else:
-                    grouped = [()] * (count - len(fallback))
-                if fallback:
-                    # Re-interleave the value-shipped rows (head constants
-                    # the child's interner copy has never seen) at their
-                    # original indices, preserving the child's row order.
-                    merged: List[Row] = []
-                    grouped_index = 0
-                    fallback_index = 0
-                    for i in range(count):
-                        if (
-                            fallback_index < len(fallback)
-                            and fallback[fallback_index][0] == i
-                        ):
-                            merged.append(fallback[fallback_index][1])
-                            fallback_index += 1
-                        else:
-                            merged.append(grouped[grouped_index])
-                            grouped_index += 1
-                    heads.extend(merged)
-                else:
-                    heads.extend(grouped)
-            if touched_blob and probe_arity:
-                tcodes = array("q")
-                tcodes.frombytes(touched_blob)
-                chunks = iter(tcodes)
-                for introw in zip(*(chunks,) * probe_arity):
-                    row = rows_map.get(introw)
-                    if row is None:
-                        row = tuple(value_of[code] for code in introw)
-                    touched.add((predicate, row))
-            batches, rows_in, rows_out, fallbacks, nodes = stats
-            batch_stats.batches += batches
-            batch_stats.rows_in += rows_in
-            batch_stats.rows_out += rows_out
-            batch_stats.fallbacks += fallbacks
-            for key, node_batches, node_in, node_out in nodes:
-                cell = batch_stats.node(key)
-                cell[0] += node_batches
-                cell[1] += node_in
-                cell[2] += node_out
-        counters.fact_retrievals += produced_total
-        # The caller fires the rule once per *returned* row; the workers
-        # pruned already-present duplicates, so account for those here --
-        # the sequential run fires once per produced row.
-        counters.rule_firings += produced_total - len(heads)
-        counters.distinct_facts += len(touched) - before
-        batch_stats.shards += len(results)
-        batch_stats.merge_seconds += time.perf_counter() - started
-        return heads
-
-    # -- whole-fixpoint offload --------------------------------------------
-
-    def run_fixpoint(self, delta: Database, counters: Counters) -> bool:
-        """Run the component's entire delta-round loop on the pool.
-
-        Eligible when the loop consists of exactly one shard-eligible plan
-        whose recipe carries an invariant column (see
-        :class:`~repro.datalog.plans.ShardRecipe`): the initial delta is
-        partitioned by the invariant column's code, each worker iterates
-        its partition to a local fixpoint (partitions are closed under the
-        rule, so local completion is global completion), and the parent
-        inserts the union of novel rows once.  ``True`` means the fixpoint
-        is complete and the caller must skip the round loop; ``False``
-        falls back to per-round evaluation with nothing charged.
-
-        Counter parity: ``fact_retrievals`` and ``rule_firings`` are the
-        summed produced-row counts (exact for the eligible shape, round by
-        round); ``derived_tuples`` is the insert count of the disjoint
-        novel unions; ``distinct_facts`` is parent touched-set growth; and
-        ``iterations`` is the *maximum* worker round count -- the
-        sequential loop runs until every partition's frontier is empty, so
-        its round count is exactly the deepest partition's.
-        """
-        recipe = self.fixpoint_recipe
-        if recipe is None:
-            return False
-        if any(
-            predicate != recipe.delta_predicate and len(relation.table)
-            for predicate, relation in delta.relations.items()
-        ):
-            # Foreign rows in the seed delta would keep the sequential loop
-            # spinning on rounds our workers never see; stay sequential.
-            return False
-        delta_relation = delta.relations.get(recipe.delta_predicate)
-        if delta_relation is None:
-            return False
-        table = delta_relation.table
-        if len(table) < _SHARD_MIN_ROWS:
-            return False
-        self._fork()
-        if self.pool is None:
-            return False
-        col_bytes = [column.tobytes() for column in table.column_arrays()]
-        tasks = [
-            ("shard_fixpoint", (0, self.workers, windex, col_bytes))
-            for windex in range(self.workers)
-        ]
-        try:
-            results = self.pool.run(tasks)
-        except _parallel.WorkerError:
-            self._failed = True
-            self.close()
-            return False
-        self._merge_fixpoint(recipe, results, counters)
-        return True
-
-    def _merge_fixpoint(self, recipe, results, counters: Counters) -> None:
-        started = time.perf_counter()
-        database = self.database
-        plan = self.plans[0]
-        value_of = self.interner._value_of
-        head_predicate = plan.head.predicate
-        head_arity = len(plan.head_template)
-        probe_relation = database.relations.get(recipe.probe_predicate)
-        rows_map = probe_relation.table.rows_map if probe_relation is not None else {}
-        probe_arity = probe_relation.arity if probe_relation is not None else 0
-        touched = database._touched
-        before = len(touched)
-        batch_stats = database.counters.batch
-        # The workers' dedup is exact and their shards disjoint, so every
-        # shipped row is novel: on an unshared head table the insert is a
-        # straight dict update over C-level zips -- the single largest
-        # serial cost of the offload (``IntTable.merge_novel_coded``).
-        # Column caches extend with strided slices, subset indexes defer
-        # through the lag replay exactly as ``add_many`` does; only sharing
-        # or an adjacency cache sends the rows through the checked path.
-        head_relation = database.relations.get(head_predicate)
-        table = head_relation.table if head_relation is not None else None
-        bulk = (
-            table is not None
-            and head_predicate not in database._shared
-            and table.can_bulk_merge
-        )
-        slow_rows: List[Row] = []
-        derived = 0
-        produced_total = 0
-        rounds_max = 0
-        for produced, rounds, flat, value_rows, touched_blob, stats in results:
-            produced_total += produced
-            rounds_max = max(rounds_max, rounds)
-            codes = array("q")
-            codes.frombytes(flat)
-            if codes and head_arity:
-                introws = list(zip(*(iter(codes),) * head_arity))
-                values = map(value_of.__getitem__, codes)
-                rows = list(zip(*(values,) * head_arity))
-                if bulk:
-                    table.merge_novel_coded(introws, rows, codes, head_arity)
-                    database._journal.extend(
-                        zip(_repeat(head_predicate), rows, _repeat(True))
-                    )
-                    derived += len(rows)
-                else:
-                    slow_rows.extend(rows)
-            slow_rows.extend(value_rows)
-            if touched_blob and probe_arity:
-                tcodes = array("q")
-                tcodes.frombytes(touched_blob)
-                chunks = iter(tcodes)
-                for introw in zip(*(chunks,) * probe_arity):
-                    row = rows_map.get(introw)
-                    if row is None:
-                        row = tuple(value_of[code] for code in introw)
-                    touched.add((recipe.probe_predicate, row))
-            batches, rows_in, rows_out, fallbacks, nodes = stats
-            batch_stats.batches += batches
-            batch_stats.rows_in += rows_in
-            batch_stats.rows_out += rows_out
-            batch_stats.fallbacks += fallbacks
-            for key, node_batches, node_in, node_out in nodes:
-                cell = batch_stats.node(key)
-                cell[0] += node_batches
-                cell[1] += node_in
-                cell[2] += node_out
-        if derived and database._charged:
-            database._charged.pop(head_predicate, None)
-        derived += len(database.add_rows(head_predicate, slow_rows))
-        counters.rule_firings += produced_total
-        counters.derived_tuples += derived
-        counters.iterations += rounds_max
-        database.counters.fact_retrievals += produced_total
-        database.counters.distinct_facts += len(touched) - before
-        batch_stats.shards += len(results)
-        batch_stats.merge_seconds += time.perf_counter() - started
-
-
-#: Child-process-only memory of the head rows known to exist, per plan
-#: index: the fork snapshot's head table plus every delta row and every
-#: novel head seen since.  The parent's copy stays empty (only forked
-#: workers execute shard tasks), so a re-fork starts children clean
-#: against the then-fresh snapshot.
-_SHARD_SEEN: Dict[int, Set[Tuple[int, ...]]] = {}
-
-
-def _shard_worker(payload):
-    """The forked worker's half of one shard task (see :class:`_ShardContext`).
-
-    Runs in a child process whose memory is a copy-on-write snapshot of the
-    parent at pool-fork time: the database object, compiled plans and the
-    interner arrive by inheritance, the task payload carries only the plan
-    index, the shard arithmetic and the delta's packed code columns.  The
-    child swaps the database's observables (counters, touched set, charging
-    memos) for fresh ones per task -- everything it mutates is private to
-    its copy -- evaluates its shard through the ordinary batch executor,
-    and ships back coded head rows, the distinct probe rows it touched and
-    its batch telemetry.
-
-    Head rows that provably already exist in the parent's head relation are
-    pruned before shipping: the fork-inherited table, every delta row seen
-    since (for a self-recursive rule the round-``r`` delta *is* what the
-    parent inserted in round ``r-1``), and this worker's own earlier
-    shipments are all guaranteed to be present, and the parent's
-    ``add_rows`` would discard them anyway.  Pruning moves the dominant
-    dedup cost of dense fixpoints into the pool; the pre-prune ``produced``
-    count still travels back, because the charging contract (one
-    ``fact_retrieval`` and one ``rule_firing`` per probed bucket row) is
-    defined over produced rows, not novel ones.
-    """
-    index, workers, windex, col_bytes = payload
-    database, plans = _parallel.pool_state()
-    plan = plans[index]
+    workers = _parallel.parallelism()
+    if (
+        workers <= 1
+        or _plans._mode != _plans._MODE_COLUMNAR
+        or _storage_runtime._mode != MODE_KERNEL
+    ):
+        return False
+    plans = [plan for _rule, rule_plans in variants for plan in rule_plans]
+    if len(plans) != 1:
+        return False
+    plan = plans[0]
     recipe = plan.shard_recipe()
-    columns: List[array] = []
-    for blob in col_bytes:
-        column = array("q")
-        column.frombytes(blob)
-        columns.append(column)
-    head_predicate = plan.head.predicate
-    seen = _SHARD_SEEN.setdefault(index, set())
-    if recipe.delta_predicate == head_predicate:
-        # Every worker receives the full (unsharded) delta, so this stays
-        # exactly the set of head rows inserted since the fork, no matter
-        # which worker derived them.
-        seen.update(zip(*columns))
-    head_relation = database.relations.get(head_predicate)
-    known = head_relation.table.rows_map if head_relation is not None else {}
-    lead = columns[recipe.lead_position]
-    keep = [i for i in range(len(lead)) if lead[i] % workers == windex]
-    arity = len(columns)
-    shard = Database()
-    relation = Relation(recipe.delta_predicate, arity)
-    if keep:
-        if arity == 2:
-            first, second = columns
-            relation.table.add_coded_rows([(first[i], second[i]) for i in keep])
-        else:
-            relation.table.add_coded_rows(
-                [tuple(column[i] for column in columns) for i in keep]
-            )
-    shard.relations[recipe.delta_predicate] = relation
-    counters = Counters()
-    database.counters = counters
-    database._touched = set()
-    database._charged = {}
-    database._probe_cache.clear()
-    database._charge_lock = None
-    heads = plan.head_batch(database, derived=shard, frozen=True)
-    if heads is None:  # pragma: no cover - SAFE shapes cannot fall back
-        raise RuntimeError("shard-eligible plan fell back to the row loop")
-    row_code_of = relation.table.interner.row_code_of
-    flat = array("q")
-    fallback: List[Tuple[int, Row]] = []
-    novel = 0
-    for row in heads:
-        introw = row_code_of(row)
-        if introw is None:
-            # A head constant this child's interner copy has never coded is
-            # novel by construction; ship it by value.
-            fallback.append((novel, row))
-            novel += 1
-        elif introw in known or introw in seen:
-            continue
-        else:
-            seen.add(introw)
-            flat.extend(introw)
-            novel += 1
-    touched = array("q")
-    for _predicate, row in database._touched:
-        touched.extend(row_code_of(row))
-    batch = counters.batch
-    nodes = [
-        (key, cell[0], cell[1], cell[2]) for key, cell in batch.nodes.items()
+    if recipe is None:
+        return False
+    if any(
+        predicate != recipe.delta_predicate and len(relation.table)
+        for predicate, relation in delta.relations.items()
+    ):
+        # Foreign rows in the seed delta would keep the sequential loop
+        # spinning on rounds the workers never see; stay sequential.
+        return False
+    seed = delta.relations.get(recipe.delta_predicate)
+    if seed is None or len(seed.table) < _SHARD_MIN_ROWS:
+        return False
+    col_bytes = [column.tobytes() for column in seed.table.column_arrays()]
+    tasks = [
+        ("shard_fixpoint", (workers, windex, col_bytes))
+        for windex in range(workers)
     ]
-    return (
-        len(heads),
-        novel,
-        flat.tobytes(),
-        fallback,
-        touched.tobytes(),
-        (batch.batches, batch.rows_in, batch.rows_out, batch.fallbacks, nodes),
+    try:
+        with _parallel.WorkerPool(workers, state=(database, plan, recipe)) as pool:
+            results = pool.run(tasks)
+    except _parallel.WorkerError:  # no fork, or a worker failed or died
+        return False
+    _merge_fixpoint(database, plan, recipe, results, counters)
+    return True
+
+
+def _merge_fixpoint(
+    database: Database, plan, recipe, results, counters: Counters
+) -> None:
+    """Insert the workers' novel rows and replay their charges."""
+    started = time.perf_counter()
+    value_of = global_interner()._value_of
+    head_predicate = plan.head.predicate
+    head_arity = len(plan.head_template)
+    probe_relation = database.relations.get(recipe.probe_predicate)
+    rows_map = probe_relation.table.rows_map if probe_relation is not None else {}
+    probe_arity = probe_relation.arity if probe_relation is not None else 0
+    touched = database._touched
+    before = len(touched)
+    batch_stats = database.counters.batch
+    # The workers' dedup is exact and their shards disjoint, so every
+    # shipped row is novel: on an unshared head table the insert is a
+    # straight dict update over C-level zips -- the single largest
+    # serial cost of the offload (``IntTable.merge_novel_coded``).
+    # Column caches extend with strided slices, subset indexes defer
+    # through the lag replay exactly as ``add_many`` does; only sharing
+    # or an adjacency cache sends the rows through the checked path.
+    head_relation = database.relations.get(head_predicate)
+    table = head_relation.table if head_relation is not None else None
+    bulk = (
+        table is not None
+        and head_predicate not in database._shared
+        and table.can_bulk_merge
     )
-
-
-_parallel.register_task("shard_join", _shard_worker)
+    slow_rows: List[Row] = []
+    derived = 0
+    produced_total = 0
+    rounds_max = 0
+    for produced, rounds, flat, value_rows, touched_blob, stats in results:
+        produced_total += produced
+        rounds_max = max(rounds_max, rounds)
+        codes = array("q")
+        codes.frombytes(flat)
+        if codes and head_arity:
+            introws = list(zip(*(iter(codes),) * head_arity))
+            values = map(value_of.__getitem__, codes)
+            rows = list(zip(*(values,) * head_arity))
+            if bulk:
+                table.merge_novel_coded(introws, rows, codes, head_arity)
+                database._journal.extend(
+                    zip(_repeat(head_predicate), rows, _repeat(True))
+                )
+                derived += len(rows)
+            else:
+                slow_rows.extend(rows)
+        slow_rows.extend(value_rows)
+        if touched_blob and probe_arity:
+            tcodes = array("q")
+            tcodes.frombytes(touched_blob)
+            chunks = iter(tcodes)
+            for introw in zip(*(chunks,) * probe_arity):
+                row = rows_map.get(introw)
+                if row is None:
+                    row = tuple(value_of[code] for code in introw)
+                touched.add((recipe.probe_predicate, row))
+        batches, rows_in, rows_out, fallbacks, nodes = stats
+        batch_stats.batches += batches
+        batch_stats.rows_in += rows_in
+        batch_stats.rows_out += rows_out
+        batch_stats.fallbacks += fallbacks
+        for key, node_batches, node_in, node_out in nodes:
+            cell = batch_stats.node(key)
+            cell[0] += node_batches
+            cell[1] += node_in
+            cell[2] += node_out
+    if derived and database._charged:
+        database._charged.pop(head_predicate, None)
+    derived += len(database.add_rows(head_predicate, slow_rows))
+    counters.rule_firings += produced_total
+    counters.derived_tuples += derived
+    counters.iterations += rounds_max
+    database.counters.fact_retrievals += produced_total
+    database.counters.distinct_facts += len(touched) - before
+    batch_stats.shards += len(results)
+    batch_stats.merge_seconds += time.perf_counter() - started
 
 
 def _shard_fixpoint_worker(payload):
@@ -1036,8 +554,7 @@ def _shard_fixpoint_worker(payload):
     ordinary delta-round loop over them entirely locally: because the
     invariant column passes unchanged from the recursive body literal to
     the head, every row derivable from this shard stays in this shard, so
-    no inter-worker exchange or per-round synchronisation is needed --
-    the expensive part of :func:`_shard_worker`'s protocol.
+    no inter-worker exchange or per-round synchronisation is needed.
 
     Duplicate pruning is exact, which the termination argument requires:
     the fork-inherited head table covers everything the parent knew, and
@@ -1053,10 +570,8 @@ def _shard_fixpoint_worker(payload):
     sequential loop iterates until the *deepest* partition's frontier
     empties.
     """
-    index, workers, windex, col_bytes = payload
-    database, plans = _parallel.pool_state()
-    plan = plans[index]
-    recipe = plan.shard_recipe()
+    workers, windex, col_bytes = payload
+    database, plan, recipe = _parallel.pool_state()
     interner = global_interner()
     base_len = len(interner)
     columns: List[array] = []
@@ -1079,7 +594,6 @@ def _shard_fixpoint_worker(payload):
     database._touched = set()
     database._charged = {}
     database._probe_cache.clear()
-    database._charge_lock = None
     code_item = interner._code_of.__getitem__
     code_get = interner._code_of.get
     introw_of = interner._introw_of
@@ -1105,7 +619,7 @@ def _shard_fixpoint_worker(payload):
         relation = Relation(recipe.delta_predicate, arity)
         # Seed the scratch table columnarly: the step-0 scan only reads the
         # code columns, the interner and the row-map *keys*, so the value
-        # tuples ``add_coded_rows`` would decode are never looked at.
+        # tuples are never decoded.
         relation.table.seed_coded_rows(
             current, [rflat[position::arity] for position in range(arity)]
         )

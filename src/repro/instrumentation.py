@@ -193,26 +193,6 @@ class Counters:
         self.batch.reset()
         self.hints.clear()
 
-    def absorb(self, other: "Counters") -> None:
-        """Fold ``other`` into this bundle in place.
-
-        Every counter is a commutative sum, so folding per-component bundles
-        back into the caller's bundle in evaluation order yields exactly the
-        totals sequential evaluation would have produced -- this is what the
-        parallel stratum scheduler (:mod:`repro.engines.runtime`) relies on
-        when independent SCCs of a stratum charge their own bundles.
-        """
-        self.fact_retrievals += other.fact_retrievals
-        self.distinct_facts += other.distinct_facts
-        self.rule_firings += other.rule_firings
-        self.derived_tuples += other.derived_tuples
-        self.nodes_generated += other.nodes_generated
-        self.iterations += other.iterations
-        for key, value in other.extras.items():
-            self.extras[key] = self.extras.get(key, 0) + value
-        self.batch.merge(other.batch)
-        self.hints.extend(other.hints)
-
     def __add__(self, other: "Counters") -> "Counters":
         merged = Counters(
             fact_retrievals=self.fact_retrievals + other.fact_retrievals,

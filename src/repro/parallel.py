@@ -1,20 +1,20 @@
 """Process parallelism: the ``set_parallelism`` switch and a fork worker pool.
 
-The bottom-up strategies are embarrassingly parallel *within* a seminaive
-round: every rule firing of round ``r`` reads a frozen snapshot of rounds
-``< r``, so the per-round delta can be partitioned and the partitions joined
-independently before a deterministic merge.  This module provides the two
-process-level building blocks that :mod:`repro.engines.runtime` (sharded
-fixpoint rounds) and :mod:`repro.lint` (parallel corpus linting) share:
+Some fixpoints split into independent partitions: a left-linear closure
+never mixes rows with different first columns, so each partition of its
+seed delta can iterate to completion on its own before one deterministic
+merge.  This module provides the two process-level building blocks that
+:mod:`repro.engines.runtime` (the whole-fixpoint offload) and
+:mod:`repro.lint` (parallel corpus linting) share:
 
 ``set_parallelism(n)`` / ``parallelism()``
     A zero-API-change switch.  The default (``1``, overridable through the
     ``REPRO_PARALLELISM`` environment variable) keeps every evaluation on
     the historical sequential path, which stays the differential oracle and
     keeps the paper-sample counter pins bit-identical.  Any ``n > 1`` arms
-    the two concurrency levels in the runtime scheduler; answers and
-    aggregated :class:`~repro.instrumentation.Counters` are guaranteed
-    identical either way (see ``tests/engines/test_parallel_differential``).
+    the runtime's fixpoint offload; answers and aggregated
+    :class:`~repro.instrumentation.Counters` are guaranteed identical
+    either way (see ``tests/engines/test_parallel_differential``).
 
 :class:`WorkerPool`
     A persistent pool of fork-spawned worker processes talking over pipes.
@@ -92,7 +92,7 @@ def fork_available() -> bool:
 # -- task registry ----------------------------------------------------------
 #
 # Handlers are registered at import time by the modules that own them (the
-# runtime registers the shard-join task, the linter registers the lint task).
+# runtime registers the fixpoint task, the linter registers the lint task).
 # Because workers are forked *after* those imports, children inherit the
 # registry -- nothing is pickled except the per-task payload.
 
@@ -114,7 +114,8 @@ def pool_state() -> Any:
 
 
 class WorkerError(RuntimeError):
-    """A task raised inside a worker; carries the remote traceback text."""
+    """A task raised inside a worker (the remote traceback is the message),
+    or its worker died before answering."""
 
 
 def _worker_main(conn: multiprocessing.connection.Connection) -> None:
@@ -149,16 +150,13 @@ class WorkerPool:
         forking, so children inherit it; handlers read it back through
         :func:`pool_state`.  The parent must keep whatever invariants the
         handlers rely on (e.g. "these relations are frozen") for the pool's
-        lifetime, or tear the pool down -- see ``valid_for``-style checks in
-        the callers.
+        lifetime, or tear the pool down.
     """
 
     def __init__(self, workers: int, state: Any = None) -> None:
         if not fork_available():
             raise WorkerError("fork start method unavailable on this platform")
         global _CHILD_STATE
-        self.workers = workers
-        self.state = state
         self._conns: List[multiprocessing.connection.Connection] = []
         self._procs: List[BaseProcess] = []
         context = multiprocessing.get_context("fork")
@@ -175,13 +173,6 @@ class WorkerPool:
                 self._procs.append(proc)
         finally:
             _CHILD_STATE = None
-
-    def __len__(self) -> int:
-        return self.workers
-
-    @property
-    def alive(self) -> bool:
-        return bool(self._procs) and all(proc.is_alive() for proc in self._procs)
 
     def run(self, tasks: Sequence[Tuple[str, Any]]) -> List[Any]:
         """Run ``tasks`` across the pool; results come back in task order.

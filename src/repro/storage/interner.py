@@ -25,21 +25,23 @@ collapsed such values *within* a relation (set membership); the interner
 makes the canonical representative process-wide.  Query answers remain
 ``==``-identical either way.
 
-Concurrency invariants (relied on by :mod:`repro.parallel` and the parallel
-stratum scheduler in :mod:`repro.engines.runtime`):
+Concurrency invariants:
 
 * **Concurrent readers are always safe.**  The table is append-only; a code
   observed by any thread or forked child stays valid forever, and the
   non-growing lookups (:meth:`Interner.code_of`, ``extern*``) touch only
   already-published entries.
-* **Growth is multi-writer safe.**  Allocation of a *new* code goes through
-  :meth:`Interner.allocate` -- a double-checked, lock-guarded append -- so
-  two threads interning the same fresh value race to one code, never two.
-  The fast path (value already interned) stays a single lock-free dict hit.
+* **Growth is multi-writer safe.**  The interner is process-wide, so any
+  two caller threads that evaluate queries -- even over unrelated
+  databases -- intern into the same table.  Allocation of a *new* code
+  goes through :meth:`Interner.allocate` -- a double-checked, lock-guarded
+  append -- so two threads interning the same fresh value race to one
+  code, never two.  The fast path (value already interned) stays a single
+  lock-free dict hit.
 * **Forked children must not rely on codes allocated after the fork.**  A
-  child's copy diverges from the parent at fork time; the worker-pool
-  protocol therefore validates that every code it ships was allocated
-  before the pool was forked (see ``runtime``'s shard freshness checks).
+  child's copy diverges from the parent at fork time; the fixpoint offload
+  in :mod:`repro.engines.runtime` therefore ships any row holding a code
+  at or above the fork-time length by value.
 """
 
 from __future__ import annotations

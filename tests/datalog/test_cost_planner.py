@@ -157,8 +157,6 @@ class TestPlannerHints:
         assert first == second  # hints take no part in counter equality
         assert "hints" not in first.as_dict()
         assert [hint.message for hint in (first + second).hints] == ["first", "second"]
-        first.absorb(second)
-        assert [hint.message for hint in first.hints] == ["first", "second"]
         assert first.hints[0].format().startswith("hint[DL601]")
         first.reset()
         assert first.hints == []

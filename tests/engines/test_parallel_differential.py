@@ -3,31 +3,39 @@
 The sequential path (``parallelism = 1``) is the differential oracle: for
 every engine, workload family, storage mode, plan-execution mode and worker
 count, evaluation under parallelism must produce the *same answers and the
-same aggregated counters* as the sequential run -- Level 1 (concurrent
-SCCs of a stratum over copy-on-write overlays) and Level 2 (hash-sharded
-delta rounds on the fork pool) are pure schedulers, not semantics.
+same aggregated counters* as the sequential run -- the whole-fixpoint
+offload to the fork pool is a pure scheduler, not semantics.
 
-Also here: the thread-safety regression for the per-database kernel-probe
-cache -- after :meth:`Database.reset_instrumentation` and an EDB mutation,
-a concurrent re-evaluation must never observe a stale probe memo -- and
-the resume/DRed paths (which stay sequential by contract but must behave
-identically while parallelism is armed).
+Also here: the regression for the per-database kernel-probe cache -- after
+:meth:`Database.reset_instrumentation` and an EDB mutation, an offloaded
+re-evaluation must never observe a stale probe memo -- the fallback when
+workers die, cost-mode re-planning under parallelism, and the resume/DRed
+paths (which stay sequential by contract but must behave identically while
+parallelism is armed).
 """
+
+import os
 
 import pytest
 
 from repro.datalog.database import Database, Delta
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import execution_mode
+from repro.datalog.plans import execution_mode, plan_mode
 from repro.engines import available_engines, get_engine
 from repro.engines import runtime as _runtime
-from repro.parallel import fork_available, parallelism, set_parallelism
+from repro.parallel import (
+    fork_available,
+    parallelism,
+    register_task,
+    set_parallelism,
+)
 from repro.storage import storage_mode
 from repro.workloads import chain, random_dag, sample_a, sample_cyclic
 
 
 def _multi_component_workload():
-    """One stratum with three SCCs in two dependency waves (Level 1 food)."""
+    """One stratum with three SCCs, each a left-linear closure the offload
+    can take; ``joint`` reads the other two."""
     program = parse_program(
         """
         reach_a(X, Y) :- edge_a(X, Y).
@@ -43,6 +51,19 @@ def _multi_component_workload():
         database.add_fact("edge_a", (i, i + 1))
         database.add_fact("edge_b", (i, (i + 1) % 19))
     return program, database, parse_literal("joint(X, Y)")
+
+
+def _left_linear_closure(length):
+    program = parse_program(
+        """
+        path(X, Y) :- edge(X, Y).
+        path(X, Z) :- path(X, Y), edge(Y, Z).
+        """
+    )
+    database = Database()
+    for i in range(length):
+        database.add_fact("edge", (i, i + 1))
+    return program, database, parse_literal("path(X, Y)")
 
 
 WORKLOADS = {
@@ -67,10 +88,8 @@ def _sequential_after_each_test():
 
 
 @pytest.fixture
-def force_sharding():
-    previous = _runtime.set_shard_min_rows(1)
-    yield
-    _runtime.set_shard_min_rows(previous)
+def force_sharding(monkeypatch):
+    monkeypatch.setattr(_runtime, "_SHARD_MIN_ROWS", 1)
 
 
 def _run(engine_name, workload_name, storage, plan_mode, workers):
@@ -156,16 +175,7 @@ def test_fixpoint_offload_runs_whole_loop_on_pool(force_sharding):
     shard count equals the worker count, not workers x rounds -- while
     answers and counters (``iterations`` especially: the deepest
     partition's local round count) replay the sequential run exactly."""
-    program = parse_program(
-        """
-        path(X, Y) :- edge(X, Y).
-        path(X, Z) :- path(X, Y), edge(Y, Z).
-        """
-    )
-    database = Database()
-    for i in range(30):
-        database.add_fact("edge", (i, i + 1))
-    query = parse_literal("path(X, Y)")
+    program, database, query = _left_linear_closure(30)
     engine = get_engine("seminaive")
 
     with execution_mode("columnar"):
@@ -233,13 +243,56 @@ def test_resume_and_dred_under_parallelism(workers):
     assert resumed.answers == scratch.answers
 
 
-def _evaluation_sequence(workers, force_shards=False):
+def _die(payload):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_dead_workers_fall_back_to_sequential(force_sharding):
+    """Every offloaded task kills its worker: the broken pipes must surface
+    as a sequential fallback with nothing charged, never as wrong answers
+    or a half-merged fixpoint."""
+    program, database, query = _left_linear_closure(30)
+    engine = get_engine("seminaive")
+    with execution_mode("columnar"):
+        sequential = engine.answer(program, query, database.copy())
+        register_task("shard_fixpoint", _die)
+        try:
+            set_parallelism(2)
+            parallel = engine.answer(program, query, database.copy())
+        finally:
+            register_task("shard_fixpoint", _runtime._shard_fixpoint_worker)
+    assert parallel.batch_stats.shards == 0
+    assert parallel.answers == sequential.answers
+    assert parallel.counters == sequential.counters
+
+
+def test_cost_mode_replans_under_parallelism():
+    """A component the offload does not take (its seed delta is below the
+    threshold) must keep cost-mode adaptive re-planning: the same answers,
+    counters and ``DL601`` hints at 1 and 2 workers."""
+    program, database, query = _left_linear_closure(300)
+    engine = get_engine("seminaive")
+    runs = []
+    for workers in (1, 2):
+        set_parallelism(workers)
+        with plan_mode("cost"), execution_mode("columnar"):
+            runs.append(engine.answer(program, query, database.copy()))
+    sequential, parallel = runs
+    assert parallel.batch_stats.shards == 0
+    assert parallel.answers == sequential.answers
+    assert parallel.counters == sequential.counters
+    codes = [hint.code for hint in sequential.counters.hints]
+    assert codes and set(codes) == {"DL601"}
+    assert [hint.code for hint in parallel.counters.hints] == codes
+
+
+def _evaluation_sequence(workers):
     """Evaluate, reset instrumentation, mutate the EDB, evaluate again --
     on one database object, so cached probe state must invalidate."""
     program, database, query = _multi_component_workload()
     engine = get_engine("seminaive")
     set_parallelism(workers)
-    previous = _runtime.set_shard_min_rows(1 if force_shards else 1 << 30)
     try:
         with storage_mode("kernel"), execution_mode("columnar"):
             first = engine.answer(program, query, database)
@@ -248,23 +301,18 @@ def _evaluation_sequence(workers, force_shards=False):
             second = engine.answer(program, query, database)
     finally:
         set_parallelism(1)
-        _runtime.set_shard_min_rows(previous)
     return first.answers, second.answers, second.counters
 
 
-@pytest.mark.parametrize("force_shards", [False, True])
-def test_probe_memo_never_stale_after_reset(force_shards):
-    """Satellite of the thread-safety audit: the per-database kernel-probe
-    cache and charging memos are cleared by ``reset_instrumentation`` and
-    invalidated by table mutation; concurrent SCC evaluation after both
-    must charge exactly like the sequential run (a stale memo would skew
-    ``fact_retrievals``/``distinct_facts`` or corrupt answers)."""
-    if force_shards and not fork_available():
-        pytest.skip("needs the fork start method")
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_probe_memo_never_stale_after_reset(force_sharding):
+    """The per-database kernel-probe cache and charging memos are cleared by
+    ``reset_instrumentation`` and invalidated by table mutation; offloaded
+    evaluation after both must charge exactly like the sequential run (a
+    stale memo would skew ``fact_retrievals``/``distinct_facts`` or corrupt
+    answers)."""
     seq_first, seq_second, seq_counters = _evaluation_sequence(1)
-    par_first, par_second, par_counters = _evaluation_sequence(
-        4, force_shards=force_shards
-    )
+    par_first, par_second, par_counters = _evaluation_sequence(4)
     assert par_first == seq_first
     assert par_second == seq_second
     assert par_counters == seq_counters

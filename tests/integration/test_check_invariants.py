@@ -1,9 +1,10 @@
 """The repo invariant checker (``tools/check_invariants.py``).
 
-Pins three things: the real source tree is clean, synthetic violations of
+Pins four things: the real source tree is clean, synthetic violations of
 both rules (storage encapsulation, ``id(...)``-keyed maps) are flagged with
-an exact ``line:column``, and the exemptions -- ``self`` access, the storage
-package, the identity-key allow-list -- hold so the checker never cries wolf.
+an exact ``line:column``, the exemptions -- ``self`` access, the storage
+package, the identity-key allow-list -- hold so the checker never cries wolf,
+and an allow-list entry that excuses nothing is itself a violation.
 """
 
 import pytest
@@ -113,6 +114,34 @@ class TestIdKeys:
         )
         violations = check_invariants.check_file(source)
         assert [line for line, _, _ in violations] == [5]
+
+    def test_stale_allow_list_entry_fails(self, tmp_path, capsys):
+        nested = tmp_path / "src" / "repro" / "storage"
+        nested.mkdir(parents=True)
+        (nested / "columns.py").write_text(
+            "class PendingCharges:\n"
+            "    def _pending(self, db):\n"
+            "        return self._by_db.get(db)\n"
+        )
+        assert check_invariants.check_tree([tmp_path / "src"]) == 1
+        out = capsys.readouterr().out
+        assert "stale ID_KEY_ALLOWED entry" in out
+        assert "PendingCharges._pending" in out
+
+    def test_used_allow_list_entry_is_not_stale(self, tmp_path, capsys):
+        nested = tmp_path / "src" / "repro" / "storage"
+        nested.mkdir(parents=True)
+        (nested / "columns.py").write_text(
+            "class PendingCharges:\n"
+            "    def _pending(self, db):\n"
+            "        return self._by_db.get(id(db))\n"
+        )
+        assert check_invariants.check_tree([tmp_path / "src"]) == 0
+        assert "stale" not in capsys.readouterr().out
+
+    def test_entries_for_unchecked_files_are_not_stale(self, tmp_path):
+        (tmp_path / "client.py").write_text("def f(memo, row):\n    return memo[row]\n")
+        assert check_invariants.check_tree([tmp_path]) == 0
 
     def test_every_allow_list_entry_names_its_reference(self):
         for (suffix, function), reference in check_invariants.ID_KEY_ALLOWED.items():

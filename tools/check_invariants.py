@@ -19,7 +19,9 @@ It also flags ``id(...)`` used as a dict or set key -- a subscript, a
 test, or the value assigned to a ``key`` variable -- anywhere in the tree.
 CPython reuses the id of a freed object, so such a memo can serve a stale
 entry to an unrelated object.  The only exceptions are the maps in
-:data:`ID_KEY_ALLOWED`, each of which keeps its keyed object alive.
+:data:`ID_KEY_ALLOWED`, each of which keeps its keyed object alive.  An
+allow-list entry that no longer matches an ``id(...)``-keyed site is itself
+a violation, so the list cannot outlive the code it excuses.
 
 Usage::
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 #: IntTable storage representation -- see the class's ``__slots__``.
 BANNED_ATTRIBUTES = frozenset(
@@ -58,8 +60,6 @@ ALLOWED_PREFIX = ("src", "repro", "storage")
 ID_KEY_ALLOWED = {
     ("repro/stats.py", "table_stats"): "each _CACHE entry stores `rows` itself",
     ("repro/storage/columns.py", "PendingCharges._pending"): "_DbCharges.db",
-    ("repro/engines/runtime.py", "_ShardContext.__init__"): "self.plans",
-    ("repro/engines/runtime.py", "_ShardContext.execute"): "self.plans",
 }
 
 #: Methods whose first argument is a dict or set key.
@@ -129,12 +129,13 @@ class _IdKeyFinder(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _id_key_allowed(path: Path, qualname: str) -> bool:
+def _allow_entry(path: Path, qualname: str) -> Optional[Tuple[str, str]]:
+    """The :data:`ID_KEY_ALLOWED` entry covering ``qualname`` in ``path``."""
     posix = path.as_posix()
-    return any(
-        posix.endswith(suffix) and qualname == function
-        for suffix, function in ID_KEY_ALLOWED
-    )
+    for suffix, function in ID_KEY_ALLOWED:
+        if posix.endswith(suffix) and qualname == function:
+            return suffix, function
+    return None
 
 
 def _is_self_access(node: ast.Attribute) -> bool:
@@ -151,15 +152,26 @@ def _exempt(path: Path) -> bool:
 
 def check_file(path: Path) -> List[Tuple[int, int, str]]:
     """Violations in one file as ``(line, col, message)``, in line order."""
+    return _check(path)[0]
+
+
+def _check(
+    path: Path,
+) -> Tuple[List[Tuple[int, int, str]], Set[Tuple[str, str]]]:
+    """:func:`check_file`'s violations plus the allow-list entries used."""
+    used: Set[Tuple[str, str]] = set()
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     except (OSError, SyntaxError) as exc:
-        return [(0, 0, f"cannot parse: {exc}")]
+        return [(0, 0, f"cannot parse: {exc}")], used
     violations: List[Tuple[int, int, str]] = []
     finder = _IdKeyFinder()
     finder.visit(tree)
     for node, qualname in finder.found:
-        if not _id_key_allowed(path, qualname):
+        entry = _allow_entry(path, qualname)
+        if entry is not None:
+            used.add(entry)
+        else:
             violations.append(
                 (
                     node.lineno,
@@ -185,18 +197,34 @@ def check_file(path: Path) -> List[Tuple[int, int, str]]:
                     "outside repro.storage; use the IntTable public API",
                 )
             )
-    return sorted(violations)
+    return sorted(violations), used
 
 
 def check_tree(roots: Iterable[Path]) -> int:
-    """Check every ``.py`` under ``roots``; print violations, return count."""
+    """Check every ``.py`` under ``roots``; print violations, return count.
+
+    An allow-list entry is stale when a checked file matches its path but
+    no ``id(...)``-keyed site in that file's named function needed it.
+    """
     found = 0
+    used: Set[Tuple[str, str]] = set()
+    checked: List[str] = []
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
-            for line, column, message in check_file(path):
+            checked.append(path.as_posix())
+            violations, entries = _check(path)
+            used |= entries
+            for line, column, message in violations:
                 print(f"{path}:{line}:{column}: {message}")
                 found += 1
+    for suffix, function in sorted(set(ID_KEY_ALLOWED) - used):
+        if any(posix.endswith(suffix) for posix in checked):
+            print(
+                f"{suffix}: stale ID_KEY_ALLOWED entry: no `id(...)` key in "
+                f"{function}; delete the entry"
+            )
+            found += 1
     return found
 
 
