@@ -122,7 +122,6 @@ def cell_matrix():
 
 def run_pass(flavour: str, repeats: int) -> dict:
     """Measure every cell at ``flavour`` workers ("1" or "4")."""
-    from repro.datalog.plans import execution_mode
     from repro.engines import run_engine
     from repro.instrumentation import Counters
     from repro.parallel import set_parallelism
@@ -142,12 +141,11 @@ def run_pass(flavour: str, repeats: int) -> dict:
 
         set_parallelism(workers)
         try:
-            with execution_mode("columnar"):
-                best = float("inf")
-                answers = None
-                for _ in range(repeats):
-                    seconds, answers = one_run()
-                    best = min(best, seconds)
+            best = float("inf")
+            answers = None
+            for _ in range(repeats):
+                seconds, answers = one_run()
+                best = min(best, seconds)
         finally:
             set_parallelism(1)
         gc.collect()

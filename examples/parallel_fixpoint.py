@@ -9,9 +9,9 @@ over ``n`` disjoint chains.  Its delta rounds are a single plan that carries
 ``X`` unchanged from the body to the head, so rows with different ``X``
 never meet: with parallelism armed, the runtime partitions the round-0 delta
 by ``X``, each worker iterates its partition to a local fixpoint, and the
-parent merges the novel rows once.  The offload needs the columnar executor
-and a seed delta of at least 4096 rows; the default input clears that, a
-small ``n`` stays sequential.
+parent merges the novel rows once.  The offload needs the default columnar
+executor and a seed delta of at least 4096 rows; the default input clears
+that, a small ``n`` stays sequential.
 
 The point of the demo is the invariant, not the speed-up: whatever the
 worker count, answers and work counters are identical to the sequential
@@ -25,7 +25,6 @@ import sys
 from repro import set_parallelism
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
-from repro.datalog.plans import execution_mode
 from repro.engines import run_engine
 from repro.parallel import fork_available
 
@@ -51,8 +50,7 @@ def evaluate(workers, n):
     program, database, query = build(n)
     previous = set_parallelism(workers)
     try:
-        with execution_mode("columnar"):
-            result = run_engine("seminaive", program, query, database)
+        result = run_engine("seminaive", program, query, database)
     finally:
         set_parallelism(previous)
     return result

@@ -82,10 +82,9 @@ SOURCE_MAIN = 0      # the primary database only
 SOURCE_DERIVED = 1   # the secondary (delta) database only
 SOURCE_BOTH = 2      # primary first, then secondary
 
-_MODE_COMPILED = "compiled"
 _MODE_INTERPRETED = "interpreted"
 _MODE_COLUMNAR = "columnar"
-_mode = _MODE_COMPILED
+_mode = _MODE_COLUMNAR
 
 #: A plan whose optimistic batch was aborted this many times stops trying:
 #: its data shape feeds its own later scans, so every attempt would pay the
@@ -94,26 +93,28 @@ _BATCH_ABORT_LIMIT = 2
 
 
 def set_execution_mode(mode: str) -> None:
-    """Select how plans execute: ``"compiled"`` (default), ``"interpreted"``
-    or ``"columnar"``.
+    """Select how plans execute: ``"columnar"`` (default) or ``"interpreted"``.
 
-    The interpreted mode runs the reference substitution-dictionary
-    nested-loop join over the *same* plan (same literal order, same builtin
-    placement, same delta sources) and exists so the differential tests can
-    assert the two executors agree on answers and counters.
-
-    The columnar mode keeps the compiled row executor for the generator
-    entry points (:meth:`JoinPlan.substitutions` / :meth:`JoinPlan.heads` /
-    :meth:`JoinPlan.pairs`, whose callers may interleave arbitrary writes
-    with consumption) and additionally offers :meth:`JoinPlan.head_batch`,
-    the whole-batch executor the stratified runtime drives: each scan step
+    The columnar mode runs the stratified runtime's firing loops through
+    :meth:`JoinPlan.head_batch`, the whole-batch executor: each scan step
     processes the entire binding batch at once -- one indexed probe per
     distinct join key, vectorized builtin filters over value columns,
     anti-join reducers for negation -- with charging replicated bit for bit
-    (see :mod:`repro.storage.columns`).
+    (see :mod:`repro.storage.columns`).  Plans the batch executor does not
+    handle, and optimistic batches it discards, fall back to the compiled
+    row executor, which also serves the generator entry points
+    (:meth:`JoinPlan.substitutions` / :meth:`JoinPlan.heads` /
+    :meth:`JoinPlan.pairs`, whose callers may interleave arbitrary writes
+    with consumption).
+
+    The interpreted mode is the reference oracle: it never batches, and runs
+    the substitution-dictionary nested-loop join over the *same* plan (same
+    literal order, same builtin placement, same delta sources), so the
+    differential tests can assert the executors agree on answers and
+    counters.
     """
     global _mode
-    if mode not in (_MODE_COMPILED, _MODE_INTERPRETED, _MODE_COLUMNAR):
+    if mode not in (_MODE_INTERPRETED, _MODE_COLUMNAR):
         raise ValueError(f"unknown execution mode {mode!r}")
     _mode = mode
 
@@ -918,9 +919,10 @@ class JoinPlan:
         """Execute the whole plan as one batch; all head rows, or ``None``.
 
         ``None`` means the caller must fall back to the row-at-a-time
-        :meth:`heads` loop: either the plan's shape is not batchable, or an
-        optimistic batch over a self-feeding plan was discarded by the
-        probe-overlap verification (in which case no counter, touched-set or
+        :meth:`heads` loop: either the interpreted oracle is selected (it
+        never batches), the plan's shape is not batchable, or an optimistic
+        batch over a self-feeding plan was discarded by the probe-overlap
+        verification (in which case no counter, touched-set or
         charging-memo state was modified).
 
         The caller contract matches the stratified runtime's firing loops
@@ -931,6 +933,8 @@ class JoinPlan:
         mutation of ``database`` at all" (the DRed overdelete loop), letting
         self-feeding shapes skip verification entirely.
         """
+        if _mode == _MODE_INTERPRETED:
+            return None
         binfo = self._binfo
         if binfo is None:
             binfo = self._build_batch_info()

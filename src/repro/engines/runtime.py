@@ -18,7 +18,10 @@ aggregation included:
   ``naive=True`` runs the Jacobi iteration over the stratum's rules in
   program order, ``naive=False`` runs the per-component seminaive
   differential loop on the compiled delta plans of
-  :mod:`repro.datalog.plans`.  A *positive* program stratifies into exactly
+  :mod:`repro.datalog.plans`.  Every loop fires its plans through one
+  helper, :func:`_fire`: the columnar batch executor when the plan allows
+  it, the row-at-a-time executor otherwise, and always the latter under
+  the interpreted oracle.  A *positive* program stratifies into exactly
   one stratum whose component order is ``analysis.evaluation_order()``, so
   both drivers are bit-identical -- answers *and* work counters -- to the
   pre-stratification engines; the 88 pinned paper-sample counters enforce
@@ -60,9 +63,10 @@ the sequential path stays the differential oracle.  The offload takes one
 shape: a component whose delta-round loop is a single plan carrying an
 invariant head column (see :class:`~repro.datalog.plans.ShardRecipe`; the
 left-linear transitive closure is the canonical case), with a seed delta of
-at least :data:`_SHARD_MIN_ROWS` rows, under the columnar executor and
-kernel storage.  The seed delta is partitioned by the invariant column's
-interned code, each worker iterates its partition to a local fixpoint, and
+at least :data:`_SHARD_MIN_ROWS` rows, under kernel storage and the default
+columnar executor (the interpreted oracle never offloads).  The seed delta
+is partitioned by the invariant column's interned code, each worker
+iterates its partition to a local fixpoint, and
 the parent inserts the union once and replays the exact counters.  Answers
 and counters are identical to sequential evaluation; every other component
 evaluates sequentially.
@@ -97,25 +101,42 @@ from ..storage.runtime import MODE_KERNEL
 _SHARD_MIN_ROWS = 4096
 
 
-def _batch_heads(
+def _fire(
     plan,
     database: Database,
+    counters: Counters,
     derived: Optional[Database] = None,
-    frozen: bool = False,
-) -> Optional[List[Row]]:
-    """All head rows of one whole-batch plan execution, or ``None``.
+    sink: Optional[Database] = None,
+) -> List[Row]:
+    """Fire one plan and insert its head rows; return the novel ones in order.
 
-    ``None`` -- because the columnar mode is off, the plan's shape is not
-    batchable, or an optimistic batch was discarded -- sends the caller to
-    the row-at-a-time ``plan.heads`` loop.  Every firing loop below satisfies
-    :meth:`~repro.datalog.plans.JoinPlan.head_batch`'s consumption contract:
-    between the call and the insertion of the returned rows, only the plan's
-    head relation of ``database`` (and databases the plan does not read) is
-    written.
+    Rows go into ``sink`` (default: ``database`` itself).  The whole-batch
+    executor (:meth:`~repro.datalog.plans.JoinPlan.head_batch`) runs first;
+    when it declines -- the interpreted oracle, an unbatchable shape, or a
+    discarded optimistic batch -- the row-at-a-time ``plan.heads`` loop runs
+    instead, inserting each row as it is produced so that later scans of
+    the same loop observe it exactly as the counters expect.  Every caller
+    satisfies ``head_batch``'s consumption contract: between the call and
+    the insertion of the returned rows, only the plan's head relation of
+    ``database`` (and databases the plan does not read) is written.  A
+    separate ``sink`` leaves ``database`` untouched altogether (the DRed
+    overdelete loop), so the batch runs ``frozen``: self-feeding shapes
+    need no verification, and batch rows skip the scratch sink's journal,
+    which nothing reads.
     """
-    if _plans._mode != _plans._MODE_COLUMNAR:
-        return None
-    return plan.head_batch(database, derived=derived, frozen=frozen)
+    head_predicate = plan.head.predicate
+    frozen = sink is not None
+    target = sink if frozen else database
+    batch = plan.head_batch(database, derived=derived, frozen=frozen)
+    if batch is not None:
+        counters.rule_firings += len(batch)
+        return target.add_rows(head_predicate, batch, journal=not frozen)
+    novel: List[Row] = []
+    for head_row in plan.heads(database, derived=derived):
+        counters.rule_firings += 1
+        if target.add_fact(head_predicate, head_row):
+            novel.append(head_row)
+    return novel
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +183,18 @@ def _jacobi_stratum(rules: List[Rule], database: Database, counters: Counters) -
     """
     scan_rules = [rule for rule in rules if not rule.is_aggregate]
     _fire_folds(rules, database, counters)
-    plans = [
-        (rule.head.predicate, rule_plan(rule, database=database))
-        for rule in scan_rules
-    ]
+    plans = [rule_plan(rule, database=database) for rule in scan_rules]
     iterations = 0
     changed = True
     while changed:
         iterations += 1
         counters.iterations += 1
         changed = False
-        for head_predicate, plan in plans:
-            batch = _batch_heads(plan, database)
-            if batch is not None:
-                counters.rule_firings += len(batch)
-                new_rows = database.add_rows(head_predicate, batch)
-                if new_rows:
-                    counters.derived_tuples += len(new_rows)
-                    changed = True
-                continue
-            for head_row in plan.heads(database):
-                counters.rule_firings += 1
-                if database.add_fact(head_predicate, head_row):
-                    counters.derived_tuples += 1
-                    changed = True
+        for plan in plans:
+            new_rows = _fire(plan, database, counters)
+            if new_rows:
+                counters.derived_tuples += len(new_rows)
+                changed = True
     return iterations
 
 
@@ -259,30 +268,20 @@ def evaluate_component(
     # Round 0: fire every rule once over the current database.
     delta = Database()
     _fire_folds(rules, database, counters, delta)
-    round0 = [(rule, rule_plan(rule, database=database)) for rule in scan_rules]
-    for rule, plan in round0:
-        head_predicate = rule.head.predicate
-        batch = _batch_heads(plan, database)
-        if batch is not None:
-            counters.rule_firings += len(batch)
-            new_rows = database.add_rows(head_predicate, batch)
-            if new_rows:
-                counters.derived_tuples += len(new_rows)
-                delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-            continue
-        for head_row in plan.heads(database):
-            counters.rule_firings += 1
-            if database.add_fact(head_predicate, head_row):
-                counters.derived_tuples += 1
-                delta.add_fact(head_predicate, head_row)
+    round0 = [rule_plan(rule, database=database) for rule in scan_rules]
+    for plan in round0:
+        new_rows = _fire(plan, database, counters)
+        counters.derived_tuples += len(new_rows)
+        delta.add_rows(plan.head.predicate, new_rows, journal=False, distinct=True)
     counters.iterations += 1
 
     # One plan variant per occurrence of a recursive predicate, with that
     # occurrence restricted to the delta.  Non-recursive rules have no
     # variants and cannot produce anything new after round 0.
     variants = [
-        (rule, delta_plans(rule, recursive_key, database=database))
+        plan
         for rule in scan_rules
+        for plan in delta_plans(rule, recursive_key, database=database)
     ]
     if _offload_fixpoint(variants, database, delta, counters):
         return
@@ -305,22 +304,10 @@ def evaluate_component(
             if replanned is not None:
                 variants = replanned
         new_delta = Database()
-        for rule, plans in variants:
-            head_predicate = rule.head.predicate
-            for plan in plans:
-                batch = _batch_heads(plan, database, derived=delta)
-                if batch is not None:
-                    counters.rule_firings += len(batch)
-                    new_rows = database.add_rows(head_predicate, batch)
-                    if new_rows:
-                        counters.derived_tuples += len(new_rows)
-                        new_delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                    continue
-                for head_row in plan.heads(database, derived=delta):
-                    counters.rule_firings += 1
-                    if database.add_fact(head_predicate, head_row):
-                        counters.derived_tuples += 1
-                        new_delta.add_fact(head_predicate, head_row)
+        for plan in variants:
+            new_rows = _fire(plan, database, counters, derived=delta)
+            counters.derived_tuples += len(new_rows)
+            new_delta.add_rows(plan.head.predicate, new_rows, journal=False, distinct=True)
         counters.iterations += 1
         delta = new_delta
 
@@ -338,7 +325,7 @@ def _adapt_delta_variants(
     delta: Database,
     assumed: Dict[str, float],
     counters: Counters,
-) -> Optional[List[Tuple[Rule, List[object]]]]:
+) -> Optional[List[object]]:
     """Swap in re-costed delta variants when the delta defies its estimate.
 
     Compares each recursive predicate's observed per-round delta size with
@@ -366,13 +353,11 @@ def _adapt_delta_variants(
     assumed.update(observed)
     overrides = {predicate: int(rows) for predicate, rows in observed.items()}
     variants = [
-        (
-            rule,
-            delta_plans(
-                rule, recursive_key, database=database, overrides=overrides
-            ),
-        )
+        plan
         for rule in scan_rules
+        for plan in delta_plans(
+            rule, recursive_key, database=database, overrides=overrides
+        )
     ]
     from ..datalog.diagnostics import CODES, Diagnostic
 
@@ -403,8 +388,9 @@ def _offload_fixpoint(
 ) -> bool:
     """Run a component's entire delta-round loop on a fork worker pool.
 
-    Eligible when parallelism is armed under the columnar executor and
-    kernel storage, the loop consists of exactly one plan, and that plan's
+    Eligible when parallelism is armed under kernel storage and the
+    default columnar executor (the interpreted oracle stays sequential and
+    never batches), the loop consists of exactly one plan, and that plan's
     :class:`~repro.datalog.plans.ShardRecipe` carries an invariant column:
     the seed ``delta`` (round 0's insertions) is partitioned by that
     column's code, each worker iterates its partition to a local fixpoint
@@ -429,14 +415,13 @@ def _offload_fixpoint(
     workers = _parallel.parallelism()
     if (
         workers <= 1
-        or _plans._mode != _plans._MODE_COLUMNAR
+        or _plans._mode == _plans._MODE_INTERPRETED
         or _storage_runtime._mode != MODE_KERNEL
     ):
         return False
-    plans = [plan for _rule, rule_plans in variants for plan in rule_plans]
-    if len(plans) != 1:
+    if len(variants) != 1:
         return False
-    plan = plans[0]
+    plan = variants[0]
     recipe = plan.shard_recipe()
     if recipe is None:
         return False
@@ -803,26 +788,13 @@ def _resume_component(
     delta = Database()
     fired = False
     for rule in rules:
-        head_predicate = rule.head.predicate
         for plan in delta_plans(
             rule, changed_predicates, delta_first=True, database=database
         ):
             fired = True
-            batch = _batch_heads(plan, database, derived=changed)
-            if batch is not None:
-                counters.rule_firings += len(batch)
-                new_rows = database.add_rows(head_predicate, batch)
-                if new_rows:
-                    counters.derived_tuples += len(new_rows)
-                    new_tuples += len(new_rows)
-                    delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                continue
-            for head_row in plan.heads(database, derived=changed):
-                counters.rule_firings += 1
-                if database.add_fact(head_predicate, head_row):
-                    counters.derived_tuples += 1
-                    new_tuples += 1
-                    delta.add_fact(head_predicate, head_row)
+            new_rows = _fire(plan, database, counters, derived=changed)
+            new_tuples += len(new_rows)
+            delta.add_rows(plan.head.predicate, new_rows, journal=False, distinct=True)
     if not fired:
         return 0
     counters.iterations += 1
@@ -830,33 +802,23 @@ def _resume_component(
     # Ordinary recursive delta rounds, delta-driven like round 0.
     recursive_key = frozenset(recursive_predicates)
     variants = [
-        (rule, delta_plans(rule, recursive_key, delta_first=True, database=database))
+        plan
         for rule in rules
+        for plan in delta_plans(
+            rule, recursive_key, delta_first=True, database=database
+        )
     ]
     while delta.total_facts():
         for predicate in delta.predicates():
             changed.add_facts(predicate, delta.rows(predicate))
         new_delta = Database()
-        for rule, plans in variants:
-            head_predicate = rule.head.predicate
-            for plan in plans:
-                batch = _batch_heads(plan, database, derived=delta)
-                if batch is not None:
-                    counters.rule_firings += len(batch)
-                    new_rows = database.add_rows(head_predicate, batch)
-                    if new_rows:
-                        counters.derived_tuples += len(new_rows)
-                        new_tuples += len(new_rows)
-                        new_delta.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                    continue
-                for head_row in plan.heads(database, derived=delta):
-                    counters.rule_firings += 1
-                    if database.add_fact(head_predicate, head_row):
-                        counters.derived_tuples += 1
-                        new_tuples += 1
-                        new_delta.add_fact(head_predicate, head_row)
+        for plan in variants:
+            new_rows = _fire(plan, database, counters, derived=delta)
+            new_tuples += len(new_rows)
+            new_delta.add_rows(plan.head.predicate, new_rows, journal=False, distinct=True)
         counters.iterations += 1
         delta = new_delta
+    counters.derived_tuples += new_tuples
     return new_tuples
 
 
@@ -907,30 +869,22 @@ def _dred_delete(
     delta_predicates = frozenset(program.predicates)
     scan_rules = [rule for rule in program.idb_rules() if not rule.is_aggregate]
     variants = [
-        (rule, delta_plans(rule, delta_predicates, delta_first=True, database=database))
+        plan
         for rule in scan_rules
+        for plan in delta_plans(
+            rule, delta_predicates, delta_first=True, database=database
+        )
     ]
     overdeleted = Database()
     frontier = removed
     while frontier.total_facts():
         next_frontier = Database()
-        for rule, plans in variants:
-            head_predicate = rule.head.predicate
-            for plan in plans:
-                # The overdelete loop never mutates ``database`` (it only
-                # accumulates into ``overdeleted``/``next_frontier``), so
-                # even self-feeding-shaped plans batch without verification.
-                batch = _batch_heads(plan, database, derived=frontier, frozen=True)
-                if batch is not None:
-                    counters.rule_firings += len(batch)
-                    new_rows = overdeleted.add_rows(head_predicate, batch, journal=False)
-                    if new_rows:
-                        next_frontier.add_rows(head_predicate, new_rows, journal=False, distinct=True)
-                    continue
-                for head_row in plan.heads(database, derived=frontier):
-                    counters.rule_firings += 1
-                    if overdeleted.add_fact(head_predicate, head_row):
-                        next_frontier.add_fact(head_predicate, head_row)
+        for plan in variants:
+            # The overdelete loop never mutates ``database`` (it only
+            # accumulates into ``overdeleted``/``next_frontier``), so even
+            # self-feeding-shaped plans batch without verification.
+            new_rows = _fire(plan, database, counters, derived=frontier, sink=overdeleted)
+            next_frontier.add_rows(plan.head.predicate, new_rows, journal=False, distinct=True)
         counters.iterations += 1
         frontier = next_frontier
 
@@ -961,17 +915,8 @@ def _dred_delete(
             plan = delta_plan(
                 guarded, frozenset((predicate,)), 0, delta_first=True, database=database
             )
-            batch = _batch_heads(plan, database, derived=overdeleted)
-            if batch is not None:
-                counters.rule_firings += len(batch)
-                new_rows = database.add_rows(predicate, batch)
-                if new_rows:
-                    rederived.add_rows(predicate, new_rows, journal=False)
-                continue
-            for head_row in plan.heads(database, derived=overdeleted):
-                counters.rule_firings += 1
-                if database.add_fact(predicate, head_row):
-                    rederived.add_fact(predicate, head_row)
+            new_rows = _fire(plan, database, counters, derived=overdeleted)
+            rederived.add_rows(predicate, new_rows, journal=False)
     if rederived.total_facts():
         _resume_positive(program, analysis, database, rederived, counters)
 

@@ -23,8 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class BatchStats:
     """Columnar batch-execution telemetry (observability, not work counters).
 
-    The columnar executor (:func:`repro.datalog.plans.set_execution_mode`
-    with ``"columnar"``) processes whole binding batches per scan step.
+    The default columnar executor (see
+    :func:`repro.datalog.plans.set_execution_mode`) processes whole binding
+    batches per scan step; the interpreted oracle never batches.
     These statistics record how much of the hot path actually ran batched --
     batches executed, rows entering and leaving the pipeline, and how often
     a plan fell back to the row-at-a-time loop -- without participating in

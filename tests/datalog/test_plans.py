@@ -177,8 +177,32 @@ class TestCacheAndModes:
     def test_unknown_mode_rejected(self):
         from repro.datalog.plans import set_execution_mode
 
-        with pytest.raises(ValueError):
-            set_execution_mode("quantum")
+        for mode in ("quantum", "compiled"):
+            with pytest.raises(ValueError):
+                set_execution_mode(mode)
+
+    def test_default_mode_is_columnar_in_a_fresh_process(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.datalog.plans import get_execution_mode; "
+                "print(get_execution_mode())",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+        )
+        assert result.stdout.strip() == "columnar"
 
 
 class TestRepeatedVariablesAndSources:

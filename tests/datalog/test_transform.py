@@ -237,9 +237,7 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("engine_name", sorted(available_engines()))
     @pytest.mark.parametrize("storage", ["kernel", "reference"])
     @pytest.mark.parametrize("plan", ["legacy", "cost"])
-    @pytest.mark.parametrize(
-        "execution", ["compiled", "interpreted", "columnar"]
-    )
+    @pytest.mark.parametrize("execution", ["interpreted", "columnar"])
     @pytest.mark.parametrize(
         "program_text,query_text",
         DIFFERENTIAL_PROGRAMS,

@@ -85,7 +85,7 @@ def test_wildcard_projection_regression_in_every_engine(engine_name):
 
 
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
 def test_wildcard_projection_in_both_modes(storage, plan_mode):
     program = parse_program("p(X) :- q(X, _, _).")
     database = Database.from_dict({"q": [("a", 1, 2), ("c", 7, 7)]})
@@ -108,7 +108,7 @@ class TestNegatedWildcards:
         return {(2,)}
 
     @pytest.mark.parametrize("storage", ["kernel", "reference"])
-    @pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+    @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
     def test_model_engines_both_modes(self, storage, plan_mode):
         program = parse_program(self.PROGRAM)
         query = parse_literal("s(X)")

@@ -6,7 +6,7 @@ from repro.instrumentation import Counters
 from repro.workloads import binary_tree, chain
 
 
-def _run(workload, mode):
+def _run(workload):
     program, database, query = workload
     counters = Counters()
     fresh = database.copy()
@@ -16,9 +16,14 @@ def _run(workload, mode):
 
 
 class TestBatchStats:
+    def test_default_executor_batches(self):
+        # No mode context: the default executor is the columnar kernel.
+        program, database, query = chain(12)
+        result = run_engine("seminaive", program, query, database)
+        assert result.counters.batch.batches > 0
+
     def test_columnar_run_reports_batches_and_per_node_rows(self):
-        with execution_mode("columnar"):
-            result, _ = _run(chain(12), "columnar")
+        result, _ = _run(chain(12))
         stats = result.batch_stats
         assert stats.batches > 0
         assert stats.rows_in > 0
@@ -31,8 +36,8 @@ class TestBatchStats:
             assert "tc[" in key
 
     def test_row_executor_reports_no_batches(self):
-        with execution_mode("compiled"):
-            result, _ = _run(chain(12), "compiled")
+        with execution_mode("interpreted"):
+            result, _ = _run(chain(12))
         stats = result.batch_stats
         assert stats.batches == 0
         assert stats.rows_in == 0
@@ -42,15 +47,13 @@ class TestBatchStats:
         # The recursive self-join of round 0 must discard its optimistic
         # batch (the row loop's mid-firing probes are observable) and is
         # recorded as a fallback rather than silently absorbed.
-        with execution_mode("columnar"):
-            result, _ = _run(binary_tree(4), "columnar")
+        result, _ = _run(binary_tree(4))
         assert result.batch_stats.fallbacks > 0
 
     def test_batch_stats_stay_out_of_the_work_counter_model(self):
-        with execution_mode("columnar"):
-            _, columnar_counters = _run(chain(12), "columnar")
-        with execution_mode("compiled"):
-            _, compiled_counters = _run(chain(12), "compiled")
-        assert columnar_counters.as_dict() == compiled_counters.as_dict()
+        _, columnar_counters = _run(chain(12))
+        with execution_mode("interpreted"):
+            _, interpreted_counters = _run(chain(12))
+        assert columnar_counters.as_dict() == interpreted_counters.as_dict()
         assert "batch" not in columnar_counters.as_dict()
         assert "batches" not in columnar_counters.as_dict()

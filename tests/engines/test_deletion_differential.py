@@ -148,7 +148,7 @@ def test_dred_repairs_the_whole_model(engine_name, workload_name):
 @pytest.mark.parametrize("workload_name", MODE_WORKLOADS)
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
 def test_delete_resume_under_modes(engine_name, workload_name, storage, plan_mode):
     program, full_db, query = WORKLOADS[workload_name]()
     engine = get_engine(engine_name)

@@ -107,7 +107,7 @@ def _run(engine_name, workload_name, storage, plan_mode, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("plan_mode", ["compiled", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
 @pytest.mark.parametrize("engine_name", RUNTIME_ENGINES)
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
@@ -133,9 +133,9 @@ def test_parallel_matches_sequential(
 @pytest.mark.parametrize("engine_name", sorted(set(available_engines()) - set(RUNTIME_ENGINES)))
 def test_other_engines_are_undisturbed(engine_name):
     expected_answers, expected_counters = _run(
-        engine_name, "tc-chain", "kernel", "compiled", 1
+        engine_name, "tc-chain", "kernel", "interpreted", 1
     )
-    answers, counters = _run(engine_name, "tc-chain", "kernel", "compiled", 4)
+    answers, counters = _run(engine_name, "tc-chain", "kernel", "interpreted", 4)
     assert answers == expected_answers
     assert counters == expected_counters
 
@@ -162,7 +162,7 @@ def test_forced_sharding_actually_shards(force_sharding):
     """
     program, database, query = WORKLOADS["multi-component"]()
     set_parallelism(4)
-    with storage_mode("kernel"), execution_mode("columnar"):
+    with storage_mode("kernel"):
         result = get_engine("seminaive").answer(program, query, database.copy())
     assert result.batch_stats.shards > 0
     assert result.batch_stats.merge_seconds > 0.0
@@ -178,10 +178,9 @@ def test_fixpoint_offload_runs_whole_loop_on_pool(force_sharding):
     program, database, query = _left_linear_closure(30)
     engine = get_engine("seminaive")
 
-    with execution_mode("columnar"):
-        sequential = engine.answer(program, query, database.copy())
-        set_parallelism(4)
-        parallel = engine.answer(program, query, database.copy())
+    sequential = engine.answer(program, query, database.copy())
+    set_parallelism(4)
+    parallel = engine.answer(program, query, database.copy())
     assert sequential.counters.iterations > 2  # a genuinely multi-round loop
     assert parallel.batch_stats.shards == 4
     assert parallel.answers == sequential.answers
@@ -206,10 +205,9 @@ def test_fixpoint_offload_ships_unseen_head_constant_by_value(force_sharding):
     query = parse_literal("mark(X, Y, T)")
     engine = get_engine("seminaive")
 
-    with execution_mode("columnar"):
-        sequential = engine.answer(program, query, database.copy())
-        set_parallelism(4)
-        parallel = engine.answer(program, query, database.copy())
+    sequential = engine.answer(program, query, database.copy())
+    set_parallelism(4)
+    parallel = engine.answer(program, query, database.copy())
     assert any(row[2] == "hop" for row in sequential.answers)
     assert parallel.answers == sequential.answers
     assert parallel.counters == sequential.counters
@@ -227,20 +225,39 @@ def test_resume_and_dred_under_parallelism(workers):
 
     set_parallelism(workers)
     engine = get_engine("seminaive")
-    with execution_mode("columnar"):
-        materialization = engine.materialize(program, base_db.copy())
-        engine.resume(materialization, {"edge": rows[-3:]})
-        engine.resume(
-            materialization, Delta(deletes={"edge": rows[:2]})
-        )
-        resumed = materialization.answer(query)
+    materialization = engine.materialize(program, base_db.copy())
+    engine.resume(materialization, {"edge": rows[-3:]})
+    engine.resume(materialization, Delta(deletes={"edge": rows[:2]}))
+    resumed = materialization.answer(query)
     set_parallelism(1)
 
     final_db = Database()
     final_db.add_facts("edge", rows[2:])
-    with execution_mode("columnar"):
-        scratch = engine.answer(program, query, final_db)
+    scratch = engine.answer(program, query, final_db)
     assert resumed.answers == scratch.answers
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+def test_interpreted_oracle_never_batches_or_offloads(force_sharding, monkeypatch):
+    """The interpreted oracle stays sequential and row-at-a-time even where
+    the default executor offloads: no pool, no batches, no shards, and the
+    same answers and counters as the default run."""
+    program, database, query = _left_linear_closure(30)
+    engine = get_engine("seminaive")
+    set_parallelism(2)
+    default = engine.answer(program, query, database.copy())
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the interpreted oracle forked a worker pool")
+
+    monkeypatch.setattr(_runtime._parallel, "WorkerPool", no_pool)
+    with execution_mode("interpreted"):
+        oracle = engine.answer(program, query, database.copy())
+    assert default.batch_stats.shards > 0  # the seed is offload-eligible
+    assert oracle.batch_stats.batches == 0
+    assert oracle.batch_stats.shards == 0
+    assert oracle.answers == default.answers
+    assert oracle.counters == default.counters
 
 
 def _die(payload):
@@ -254,14 +271,13 @@ def test_dead_workers_fall_back_to_sequential(force_sharding):
     or a half-merged fixpoint."""
     program, database, query = _left_linear_closure(30)
     engine = get_engine("seminaive")
-    with execution_mode("columnar"):
-        sequential = engine.answer(program, query, database.copy())
-        register_task("shard_fixpoint", _die)
-        try:
-            set_parallelism(2)
-            parallel = engine.answer(program, query, database.copy())
-        finally:
-            register_task("shard_fixpoint", _runtime._shard_fixpoint_worker)
+    sequential = engine.answer(program, query, database.copy())
+    register_task("shard_fixpoint", _die)
+    try:
+        set_parallelism(2)
+        parallel = engine.answer(program, query, database.copy())
+    finally:
+        register_task("shard_fixpoint", _runtime._shard_fixpoint_worker)
     assert parallel.batch_stats.shards == 0
     assert parallel.answers == sequential.answers
     assert parallel.counters == sequential.counters
@@ -276,7 +292,7 @@ def test_cost_mode_replans_under_parallelism():
     runs = []
     for workers in (1, 2):
         set_parallelism(workers)
-        with plan_mode("cost"), execution_mode("columnar"):
+        with plan_mode("cost"):
             runs.append(engine.answer(program, query, database.copy()))
     sequential, parallel = runs
     assert parallel.batch_stats.shards == 0
@@ -294,7 +310,7 @@ def _evaluation_sequence(workers):
     engine = get_engine("seminaive")
     set_parallelism(workers)
     try:
-        with storage_mode("kernel"), execution_mode("columnar"):
+        with storage_mode("kernel"):
             first = engine.answer(program, query, database)
             database.reset_instrumentation()
             database.add_fact("edge_a", (18, 0))

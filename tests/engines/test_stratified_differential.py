@@ -44,7 +44,7 @@ def _reference(program, database, query):
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 @pytest.mark.parametrize("engine_name", ALL_ENGINES)
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
 def test_engines_match_the_stratified_reference(
     engine_name, workload_name, storage, plan_mode
 ):

@@ -46,10 +46,10 @@ CELLS = [
 ]
 
 
-@pytest.mark.parametrize("plan_mode", ["compiled", "interpreted", "columnar"])
+@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
 @pytest.mark.parametrize("workload_name,engine", CELLS)
 def test_paper_sample_counters_are_pinned(workload_name, engine, plan_mode):
-    """Every pinned cell must hold under all three plan-execution modes:
+    """Every pinned cell must hold under both plan-execution modes:
     the columnar batch executor and the interpreted reference executor are
     only admissible if they charge bit-identical work."""
     program, database, query = WORKLOADS[workload_name]

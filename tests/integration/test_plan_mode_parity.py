@@ -3,7 +3,7 @@
 Random stratified programs over random databases, evaluated under every
 plan mode x execution mode combination.  The cost planner may pick any
 join order it likes, so work counters are free to differ -- but the
-answer sets must match the legacy compiled run bit for bit.  (Counter
+answer sets must match the legacy interpreted run bit for bit.  (Counter
 parity *within* legacy mode is pinned elsewhere; asserting it across
 plan modes would outlaw the very reorderings the cost planner exists
 to make.)
@@ -26,7 +26,7 @@ from repro.stats import clear_stats_cache
 
 BASE_PREDICATES = ["e", "f"]
 CONSTANTS = list(range(5))
-EXECUTION_MODES = ("compiled", "interpreted", "columnar")
+EXECUTION_MODES = ("interpreted", "columnar")
 PLAN_MODES = ("legacy", "cost")
 
 
@@ -79,7 +79,7 @@ class TestPlanModeParity:
         data_seed=st.integers(min_value=0, max_value=200),
     )
     @settings(max_examples=30, deadline=None)
-    def test_all_six_cells_agree_on_stratified_programs(
+    def test_all_mode_cells_agree_on_stratified_programs(
         self, program_seed, data_seed
     ):
         program = parse_program(random_stratified_program(program_seed))
@@ -116,7 +116,7 @@ class TestPlanModeParity:
         for engine in engines:
             for planning in PLAN_MODES:
                 answers = _answers(
-                    engine, program, query, database, "compiled", planning
+                    engine, program, query, database, "interpreted", planning
                 )
                 assert answers == reference, (engine, planning)
 
@@ -128,7 +128,7 @@ class TestFixedWorkloadParity:
 
         program, database, query = sample_a(40)
         baseline = _answers(
-            "seminaive", program, query, database, "compiled", "legacy"
+            "seminaive", program, query, database, "interpreted", "legacy"
         )
         assert (
             _answers("seminaive", program, query, database, exec_mode, "cost")

@@ -9,11 +9,7 @@ from pathlib import Path
 
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program, parse_query
-from repro.datalog.plans import (
-    execution_mode,
-    plan_mode,
-    rule_plan,
-)
+from repro.datalog.plans import plan_mode, rule_plan
 from repro.engines import run_engine
 from repro.instrumentation import Counters
 from repro.session import QuerySession
@@ -69,8 +65,7 @@ class TestExplainActuals:
         database = Database.from_dict({"e": [(i, i + 1) for i in range(10)]})
         counters = Counters()
         database.reset_instrumentation(counters)
-        with execution_mode("columnar"):
-            evaluate_seminaive(program, database, counters)
+        evaluate_seminaive(program, database, counters)
         rule = program.idb_rules()[1]
         report = rule_plan(rule).explain(counters)
         assert "actual in=" in report
