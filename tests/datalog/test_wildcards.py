@@ -12,7 +12,6 @@ import pytest
 from repro.datalog.database import Database
 from repro.datalog.errors import UnsafeRuleError
 from repro.datalog.parser import parse_literal, parse_program, parse_rules
-from repro.datalog.plans import execution_mode
 from repro.datalog.semantics import answer_query, least_model, stratified_model
 from repro.datalog.terms import Variable
 from repro.engines import available_engines, get_engine
@@ -85,11 +84,11 @@ def test_wildcard_projection_regression_in_every_engine(engine_name):
 
 
 @pytest.mark.parametrize("storage", ["kernel", "reference"])
-@pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
-def test_wildcard_projection_in_both_modes(storage, plan_mode):
+@pytest.mark.parametrize("plan_mode", ["rows", "interpreted", "columnar"])
+def test_wildcard_projection_in_both_modes(storage, plan_mode, executor):
     program = parse_program("p(X) :- q(X, _, _).")
     database = Database.from_dict({"q": [("a", 1, 2), ("c", 7, 7)]})
-    with storage_mode(storage), execution_mode(plan_mode):
+    with storage_mode(storage), executor(plan_mode):
         assert answer_query(program, parse_literal("p(X)"), database) == {
             ("a",),
             ("c",),
@@ -108,13 +107,13 @@ class TestNegatedWildcards:
         return {(2,)}
 
     @pytest.mark.parametrize("storage", ["kernel", "reference"])
-    @pytest.mark.parametrize("plan_mode", ["interpreted", "columnar"])
-    def test_model_engines_both_modes(self, storage, plan_mode):
+    @pytest.mark.parametrize("plan_mode", ["rows", "interpreted", "columnar"])
+    def test_model_engines_both_modes(self, storage, plan_mode, executor):
         program = parse_program(self.PROGRAM)
         query = parse_literal("s(X)")
         for engine_name in ("naive", "seminaive"):
             database = Database.from_dict(self.FACTS)
-            with storage_mode(storage), execution_mode(plan_mode):
+            with storage_mode(storage), executor(plan_mode):
                 result = get_engine(engine_name).answer(program, query, database)
             assert result.answers == self.expected(), (
                 f"{engine_name} ({storage}/{plan_mode})"

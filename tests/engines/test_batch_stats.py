@@ -43,6 +43,15 @@ class TestBatchStats:
         assert stats.rows_in == 0
         assert not stats.nodes
 
+    def test_rows_executor_fires_through_the_row_fallback(self, executor):
+        # The "rows" cells of the mode cross-products run the columnar mode
+        # with every batch declined: same work, no batch telemetry.
+        with executor("rows"):
+            result, rows_counters = _run(chain(12))
+        assert result.batch_stats.batches == 0
+        _, columnar_counters = _run(chain(12))
+        assert rows_counters.as_dict() == columnar_counters.as_dict()
+
     def test_self_feeding_round_zero_counts_a_fallback(self):
         # The recursive self-join of round 0 must discard its optimistic
         # batch (the row loop's mid-firing probes are observable) and is

@@ -12,13 +12,13 @@ to make.)
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.database import Database
 from repro.datalog.literals import Literal
 from repro.datalog.parser import parse_program
-from repro.datalog.plans import execution_mode, plan_mode
+from repro.datalog.plans import plan_mode
 from repro.datalog.semantics import answer_query
 from repro.engines import run_engine
 from repro.instrumentation import Counters
@@ -26,7 +26,7 @@ from repro.stats import clear_stats_cache
 
 BASE_PREDICATES = ["e", "f"]
 CONSTANTS = list(range(5))
-EXECUTION_MODES = ("interpreted", "columnar")
+EXECUTION_MODES = ("rows", "interpreted", "columnar")
 PLAN_MODES = ("legacy", "cost")
 
 
@@ -63,12 +63,12 @@ def random_stratified_program(seed: int) -> str:
     return "\n".join(lines)
 
 
-def _answers(engine, program, query, database, exec_mode, planning):
+def _answers(engine, program, query, database, exec_mode, planning, executor):
     counters = Counters()
     fresh = database.copy()
     fresh.reset_instrumentation(counters)
     clear_stats_cache()
-    with plan_mode(planning), execution_mode(exec_mode):
+    with plan_mode(planning), executor(exec_mode):
         result = run_engine(engine, program, query, fresh, counters)
     return result.answers
 
@@ -78,9 +78,14 @@ class TestPlanModeParity:
         program_seed=st.integers(min_value=0, max_value=200),
         data_seed=st.integers(min_value=0, max_value=200),
     )
-    @settings(max_examples=30, deadline=None)
+    # ``executor`` is a stateless factory, safe to share across examples.
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     def test_all_mode_cells_agree_on_stratified_programs(
-        self, program_seed, data_seed
+        self, program_seed, data_seed, executor
     ):
         program = parse_program(random_stratified_program(program_seed))
         database = random_database(data_seed, size=6)
@@ -89,7 +94,13 @@ class TestPlanModeParity:
         for planning in PLAN_MODES:
             for exec_mode in EXECUTION_MODES:
                 answers = _answers(
-                    "seminaive", program, query, database, exec_mode, planning
+                    "seminaive",
+                    program,
+                    query,
+                    database,
+                    exec_mode,
+                    planning,
+                    executor,
                 )
                 assert answers == reference, (planning, exec_mode)
 
@@ -98,9 +109,13 @@ class TestPlanModeParity:
         data_seed=st.integers(min_value=0, max_value=120),
         start=st.sampled_from(CONSTANTS),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     def test_demand_strategies_agree_under_cost_mode(
-        self, program_seed, data_seed, start
+        self, program_seed, data_seed, start, executor
     ):
         # Positive core only: the magic engine rejects negation outright.
         positive = random_stratified_program(program_seed).splitlines()[:2]
@@ -116,21 +131,29 @@ class TestPlanModeParity:
         for engine in engines:
             for planning in PLAN_MODES:
                 answers = _answers(
-                    engine, program, query, database, "interpreted", planning
+                    engine,
+                    program,
+                    query,
+                    database,
+                    "interpreted",
+                    planning,
+                    executor,
                 )
                 assert answers == reference, (engine, planning)
 
 
 class TestFixedWorkloadParity:
     @pytest.mark.parametrize("exec_mode", EXECUTION_MODES)
-    def test_same_generation_cells_agree(self, exec_mode):
+    def test_same_generation_cells_agree(self, exec_mode, executor):
         from repro.workloads import sample_a
 
         program, database, query = sample_a(40)
         baseline = _answers(
-            "seminaive", program, query, database, "interpreted", "legacy"
+            "seminaive", program, query, database, "interpreted", "legacy", executor
         )
         assert (
-            _answers("seminaive", program, query, database, exec_mode, "cost")
+            _answers(
+                "seminaive", program, query, database, exec_mode, "cost", executor
+            )
             == baseline
         )
