@@ -13,9 +13,10 @@ This module ties the pieces of the paper together into a single entry point,
    chain condition, transform to a binary-chain program, and evaluate that
    program with the same traversal machinery while the auxiliary relations
    are computed on demand;
-4. anything else falls back to bottom-up evaluation of the least model (the
-   paper's method simply does not apply; the fall-back keeps the public API
-   total).
+4. anything else falls back to bottom-up evaluation by the stratified
+   seminaive runtime (:mod:`repro.engines.runtime`), the same runtime a
+   :class:`~repro.session.QuerySession` serves bottom-up queries with (the
+   paper's method does not apply; the fall-back keeps the public API total).
 
 The returned :class:`QueryAnswer` reports which strategy ran, the answers in
 the same projection convention as
@@ -32,7 +33,7 @@ from ..datalog.database import Database
 from ..datalog.errors import NotApplicableError
 from ..datalog.literals import Literal
 from ..datalog.rules import Program
-from ..datalog.semantics import answer_against_relation, free_variable_order, least_model
+from ..datalog.semantics import answer_against_relation, free_variable_order
 from ..datalog.terms import Variable
 from ..instrumentation import Counters
 from .chain_transform import ChainTransformProvider, ChainTransformResult, transform_to_binary_chain
@@ -201,21 +202,36 @@ def evaluate_query(
         ``"auto"`` picks the most specific applicable path; ``"graph"``,
         ``"chain"`` and ``"bottom-up"`` force a particular one (raising
         :class:`~repro.datalog.errors.NotApplicableError` when it does not
-        apply).
+        apply).  ``"bottom-up"`` runs the stratified seminaive runtime, the
+        one a :class:`~repro.session.QuerySession` serves bottom-up with.
     max_iterations:
         Explicit bound on traversal iterations.  When omitted, a bound is
         derived automatically for equations of the ``p = e0 ∪ e1·p·e2`` form
         (which makes the evaluation terminate even on cyclic data); other
         equations run unbounded, as in the paper.
     """
-    counters = counters if counters is not None else Counters()
-    full_database = _combined_database(program, database, counters)
+    from ..session.facts import combined_database
 
+    counters = counters if counters is not None else Counters()
+    combined = combined_database(program, database, counters)
+    return evaluate_combined(program, query, combined, counters, strategy, max_iterations)
+
+
+def evaluate_combined(
+    program: Program,
+    query: Literal,
+    database: Database,
+    counters: Counters,
+    strategy: str = "auto",
+    max_iterations: Optional[int] = None,
+) -> QueryAnswer:
+    """:func:`evaluate_query` over an overlay already holding the program's
+    facts (``Engine.answer``'s); the bottom-up path derives into it."""
     if strategy not in ("auto", "graph", "chain", "bottom-up"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     if query.predicate not in program.derived_predicates:
-        return _answer_base(full_database, query, counters)
+        return _answer_base(database, query, counters)
 
     if not program.is_positive:
         if strategy in ("graph", "chain"):
@@ -223,12 +239,12 @@ def evaluate_query(
                 f"the {strategy} strategy requires a positive program; "
                 "stratified programs evaluate bottom-up"
             )
-        return _answer_bottom_up(program, query, full_database, counters)
+        return _answer_bottom_up(program, query, database, counters)
 
     analysis = analyze(program)
     if strategy in ("auto", "graph") and _graph_applicable(analysis, query):
         try:
-            return _answer_by_graph(program, analysis, query, full_database, counters, max_iterations)
+            return _answer_by_graph(program, analysis, query, database, counters, max_iterations)
         except NotApplicableError:
             if strategy == "graph":
                 raise
@@ -239,39 +255,19 @@ def evaluate_query(
 
     if strategy in ("auto", "chain") and analysis.is_linear_program():
         try:
-            return _answer_by_chain_transform(
-                program, query, full_database, counters, max_iterations
-            )
+            return _answer_by_chain_transform(program, query, database, counters, max_iterations)
         except NotApplicableError:
             if strategy == "chain":
                 raise
     elif strategy == "chain":
         raise NotApplicableError("chain strategy requires a linear program")
 
-    return _answer_bottom_up(program, query, full_database, counters)
+    return _answer_bottom_up(program, query, database, counters)
 
 
 # ---------------------------------------------------------------------------
 # The individual strategies
 # ---------------------------------------------------------------------------
-
-def _combined_database(
-    program: Program, database: Optional[Database], counters: Counters
-) -> Database:
-    """EDB + program facts as a copy-on-write overlay (never a row copy).
-
-    Historically this copied the external database row by row per query; the
-    overlay shares the caller's relations (and their built indexes) read-only
-    and clones only what the evaluation writes, exactly as
-    :meth:`repro.engines.base.Engine.answer` merges.
-    """
-    if database is not None:
-        combined = Database.overlay(database, counters=counters)
-    else:
-        combined = Database(counters=counters)
-    combined.load_program_facts(program)
-    return combined
-
 
 def _answer_base(database: Database, query: Literal, counters: Counters) -> QueryAnswer:
     rows = database.match(query)
@@ -442,14 +438,14 @@ def _reassemble_answers(
 def _answer_bottom_up(
     program: Program, query: Literal, database: Database, counters: Counters
 ) -> QueryAnswer:
-    model = least_model(program, database)
-    answers = answer_against_relation(model.rows(query.predicate), query)
-    counters.derived_tuples += sum(
-        len(model.rows(p)) for p in program.derived_predicates
-    )
+    # Imported here: ``repro.engines`` imports this module (the graph engine).
+    from ..engines.runtime import evaluate_stratified
+
+    evaluate_stratified(program, database, counters)
+    answers = answer_against_relation(database.rows(query.predicate), query)
     return QueryAnswer(
         answers=answers,
         strategy="bottom-up",
         counters=counters,
-        details={"model_size": model.total_facts()},
+        iterations=counters.iterations,
     )

@@ -13,6 +13,10 @@ algorithm of :mod:`repro.core` is tested against these functions; they are
 deliberately simple rather than fast -- :func:`stratified_model` in
 particular evaluates rule bodies with its own substitution enumeration,
 independent of the compiled join plans it referees.
+
+No production path calls this module's models (the planner's fallback runs
+:mod:`repro.engines.runtime`); :func:`least_model` keeps ``rule_plan`` joins
+because perfbench computes its expected answers with it.
 """
 
 from __future__ import annotations

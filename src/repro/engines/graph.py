@@ -1,14 +1,13 @@
 """The paper's own strategy packaged behind the common engine interface.
 
-This is a thin adapter around :func:`repro.core.planner.evaluate_query` so
+This is a thin adapter around :func:`repro.core.planner.evaluate_combined` so
 the comparison benchmarks can run "our algorithm" next to the baselines with
 identical instrumentation and result types.
 """
 
 from __future__ import annotations
 
-
-from ..core.planner import evaluate_query
+from ..core.planner import evaluate_combined
 from ..datalog.database import Database
 from ..datalog.literals import Literal
 from ..datalog.rules import Program
@@ -22,9 +21,6 @@ class GraphTraversalEngine(Engine):
 
     name = "graph"
 
-    def __init__(self, strategy: str = "auto"):
-        self.strategy = strategy
-
     def _run(
         self,
         program: Program,
@@ -32,9 +28,7 @@ class GraphTraversalEngine(Engine):
         database: Database,
         counters: Counters,
     ) -> EngineResult:
-        answer = evaluate_query(
-            program, query, database=database, strategy=self.strategy, counters=counters
-        )
+        answer = evaluate_combined(program, query, database, counters)
         return EngineResult(
             answers=answer.answers,
             engine=self.name,

@@ -1,7 +1,8 @@
 """Stratified differential suite: every applicable engine on every
-negation/aggregation workload family, under both storage modes and both
-plan-execution modes, against the independent per-stratum reference
-evaluator (:func:`repro.datalog.semantics.stratified_model`) -- plus the
+negation/aggregation workload family, under both storage modes and the
+three executor cells (``rows``, ``interpreted``, ``columnar``), against the
+independent per-stratum reference evaluator
+(:func:`repro.datalog.semantics.stratified_model`) -- plus the
 non-monotone session resume path against from-scratch recomputation."""
 
 import pytest

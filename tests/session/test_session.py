@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.planner import evaluate_query
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_literal, parse_program
 from repro.datalog.semantics import answer_query
@@ -213,9 +214,13 @@ class TestProgramFactsMemo:
     def test_bare_answer_path_populates_and_reuses_the_memo(self):
         program = parse_program(TC + "e(1, 2).")
         database = Database.from_dict({"e": [(2, 3)]})
+        # the planner entry point merges through the same memo as the engines
+        planned = evaluate_query(program, parse_literal("tc(1, Y)"), database=database)
+        assert planned.answers == {(2,), (3,)}
+        snapshot = database._program_facts_memo[program][1]
         first = run_engine("seminaive", program, parse_literal("tc(1, Y)"), database)
         assert first.answers == {(2,), (3,)}
-        snapshot = database._program_facts_memo[program][1]
+        assert database._program_facts_memo[program][1] is snapshot
         second = run_engine("naive", program, parse_literal("tc(1, Y)"), database)
         assert second.answers == {(2,), (3,)}
         assert database._program_facts_memo[program][1] is snapshot
